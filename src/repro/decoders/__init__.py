@@ -13,7 +13,7 @@ prior/posterior-modification family (``PosteriorFlipDecoder``,
 """
 
 from repro.decoders.base import BatchDecodeResult, DecodeResult, Decoder
-from repro.decoders.bp import BPBatchResult, DampingSchedule, MinSumBP
+from repro.decoders.bp import DampingSchedule, MinSumBP
 from repro.decoders.bposd import BPOSDDecoder
 from repro.decoders.bpsf import BPSFDecoder
 from repro.decoders.ensemble import PerturbedEnsembleBP, PosteriorFlipDecoder
@@ -53,7 +53,6 @@ __all__ = [
     "DecodeResult",
     "Decoder",
     "BatchDecodeResult",
-    "BPBatchResult",
     "DampingSchedule",
     "DECODER_REGISTRY",
     "get_decoder",

@@ -10,23 +10,8 @@ Two result types share the same vocabulary:
   (failure masks, iteration histograms, latency models) without ever
   materialising per-shot Python objects on the hot path.
 
-Migration notes for ``decode_batch`` callers
---------------------------------------------
-``decode_batch`` (returning ``list[DecodeResult]``) remains available on
-every decoder but is now a compatibility shim over ``decode_many``:
-
-===============================================  ==============================
-old (per-shot objects)                           new (array columns)
-===============================================  ==============================
-``np.stack([r.error for r in rs])``              ``batch.errors``
-``[r.converged for r in rs]``                    ``batch.converged``
-``[r.iterations for r in rs]``                   ``batch.iterations``
-``sum(r.stage == "post" for r in rs)``           ``(batch.stage == "post").sum()``
-``[r.winning_trial for r in rs]``                ``batch.winning_trial`` (``-1`` = none)
-``rs[i]``                                        ``batch[i]`` or ``batch.to_results()[i]``
-===============================================  ==============================
-
-New code should call ``decode_many`` and keep the arrays.
+``batch[i]`` gives shot ``i`` as a :class:`DecodeResult`, so iterating
+a batch yields per-shot records where a test or report wants them.
 """
 
 from __future__ import annotations
@@ -116,11 +101,8 @@ class BatchDecodeResult:
       ``-1`` (the array encoding of "no winning trial");
     * ``time_seconds`` defaults to zeros.
 
-    The field order of the required columns is backward compatible with
-    the historical ``BPBatchResult`` (``errors, converged, iterations,
-    marginals, flip_counts``), which is now an alias of this class.
-    ``to_results()`` is retained only as a compatibility shim for
-    per-shot-object consumers.
+    The leading columns ``errors, converged, iterations, marginals,
+    flip_counts`` may be passed positionally.
     """
 
     errors: np.ndarray                         # (batch, n) uint8
@@ -182,7 +164,7 @@ class BatchDecodeResult:
         return self.errors.shape[0]
 
     def __getitem__(self, i: int) -> DecodeResult:
-        """Per-shot view as a :class:`DecodeResult` (compat accessor)."""
+        """Per-shot view as a :class:`DecodeResult`."""
         i = int(i)
         winner = int(self.winning_trial[i])
         return DecodeResult(
@@ -219,14 +201,6 @@ class BatchDecodeResult:
         return int((~self.converged).sum())
 
     # -- conversion -------------------------------------------------------
-
-    def to_results(self) -> list[DecodeResult]:
-        """Convert to per-shot :class:`DecodeResult` records.
-
-        Compatibility shim only — array consumers should read the
-        columns directly.
-        """
-        return [self[i] for i in range(len(self))]
 
     @classmethod
     def from_results(cls, results: list[DecodeResult]) -> "BatchDecodeResult":
@@ -334,8 +308,6 @@ class Decoder(ABC):
     :class:`BatchDecodeResult`.  Decoders with a vectorised core
     override it; the default loops :meth:`decode` and packs the records
     into arrays so every decoder honours the array contract.
-    :meth:`decode_batch` is a compatibility shim kept for per-shot
-    object consumers (see the module docstring for migration notes).
     """
 
     @abstractmethod
@@ -359,13 +331,3 @@ class Decoder(ABC):
         workers.  Deterministic decoders need not override the default
         no-op.
         """
-
-    def decode_batch(self, syndromes: np.ndarray) -> list[DecodeResult]:
-        """Decode a batch of syndromes (compat shim over decode_many).
-
-        An empty batch returns ``[]``, as the historical per-shot loop
-        did; ``decode_many`` itself requires at least one shot.
-        """
-        if np.asarray(syndromes).size == 0:
-            return []
-        return self.decode_many(syndromes).to_results()

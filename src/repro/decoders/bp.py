@@ -18,27 +18,17 @@ Features reproduced from the paper:
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
+from numpy.typing import ArrayLike, DTypeLike
 
 from repro.decoders.base import BatchDecodeResult, DecodeResult, Decoder
 from repro.decoders.kernels import make_kernel, resolve_backend
 from repro.decoders.tanner import shared_tanner_edges
 from repro.problem import DecodingProblem
 
-__all__ = ["BPBatchResult", "DampingSchedule", "MinSumBP"]
-
-# Historical name for the vectorised result record; the generalised
-# array-first class now lives in :mod:`repro.decoders.base`.
-BPBatchResult = BatchDecodeResult
-
-# Iteration cap of the first decoding pass on large batches.  Most
-# shots converge within a few iterations; capping the first pass and
-# re-batching every straggler into one dense second pass stops each
-# chunk from paying full per-iteration dispatch overhead for its last
-# one or two unconverged rows.  BP is deterministic, so re-running a
-# straggler from scratch reproduces the exact trajectory (and
-# iteration count) of an uncapped run — results are bit-identical.
-_STRAGGLER_CAP = 16
+__all__ = ["DampingSchedule", "MinSumBP"]
 
 # Cap on the multi-iteration fusion depth: how many BP iterations an
 # iteration-fusing kernel may run inside one backend call.  Purely a
@@ -56,7 +46,8 @@ class DampingSchedule:
     constant factor.
     """
 
-    def __init__(self, kind: str | float = "adaptive"):
+    def __init__(self, kind: str | float = "adaptive") -> None:
+        self._constant: float | None
         if isinstance(kind, str):
             if kind != "adaptive":
                 raise ValueError(f"unknown damping schedule {kind!r}")
@@ -95,7 +86,8 @@ class MinSumBP(Decoder):
     track_oscillations:
         Accumulate per-bit flip counters (needed by BP-SF).
     batch_size:
-        Internal chunk size for batched decoding (memory knob).
+        Rows per internal chunk (at least 1; a memory knob).  Each
+        chunk decodes once with the full ``max_iter`` budget.
     backend:
         Inner-loop kernel backend: ``"reference"``, ``"fused"`` or
         ``"auto"``/``None`` (defer to an active
@@ -110,15 +102,17 @@ class MinSumBP(Decoder):
         problem: DecodingProblem,
         *,
         max_iter: int = 100,
-        damping: str | float = "adaptive",
+        damping: str | float | DampingSchedule = "adaptive",
         clamp: float = 50.0,
         track_oscillations: bool = False,
-        dtype=np.float32,
+        dtype: DTypeLike = np.float32,
         batch_size: int = 32,
         backend: str | None = None,
-    ):
+    ) -> None:
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         self.problem = problem
         self.max_iter = int(max_iter)
         self.damping = (
@@ -151,13 +145,19 @@ class MinSumBP(Decoder):
 
     # -- public API -----------------------------------------------------
 
-    def decode(self, syndrome, *, prior_llr=None) -> DecodeResult:
+    def decode(
+        self, syndrome: np.ndarray, *, prior_llr: ArrayLike | None = None
+    ) -> DecodeResult:
         return self.decode_many(
             np.atleast_2d(syndrome), prior_llr=prior_llr
-        ).to_results()[0]
+        )[0]
 
     def decode_many(
-        self, syndromes, *, prior_llr=None, stop_groups=None
+        self,
+        syndromes: np.ndarray,
+        *,
+        prior_llr: ArrayLike | None = None,
+        stop_groups: ArrayLike | None = None,
     ) -> BatchDecodeResult:
         """Decode a ``(batch, n_checks)`` array of syndromes.
 
@@ -186,122 +186,59 @@ class MinSumBP(Decoder):
                 f"{self.edges.n_checks} checks"
             )
         batch = syndromes.shape[0]
+        if batch == 0:
+            raise ValueError("at least one syndrome is required")
         prior = self._normalise_prior(prior_llr, batch)
+        groups: np.ndarray | None = None
         if stop_groups is None:
-            return self._decode_phased(syndromes, prior)
-
-        stop_groups = np.asarray(stop_groups).reshape(-1)
-        if stop_groups.shape[0] != batch:
-            raise ValueError(
-                f"stop_groups length {stop_groups.shape[0]} does not "
-                f"match {batch} shots"
-            )
-        starts = np.concatenate(
-            ([0], np.nonzero(np.diff(stop_groups) != 0)[0] + 1)
-        )
-        if np.unique(stop_groups[starts]).size != starts.size:
-            raise ValueError("rows of one stop_group must be contiguous")
-        return self._decode_grouped(syndromes, prior, stop_groups)
-
-    def _decode_phased(self, syndromes, prior) -> BatchDecodeResult:
-        """Two-pass chunked decoding with straggler re-batching.
-
-        Pass 1 decodes every chunk under a small iteration cap; the few
-        shots still unconverged are then pooled and decoded once more
-        from scratch with the full budget.  Deterministic BP makes the
-        re-run reproduce the uncapped trajectory exactly, so results
-        (including iteration counts) are identical to a single pass —
-        only the straggler-tail dispatch overhead disappears.
-        """
-        batch = syndromes.shape[0]
-        if batch <= self.batch_size or self.max_iter <= _STRAGGLER_CAP:
-            return self._run_chunks(syndromes, prior, self.max_iter)
-        first = self._run_chunks(syndromes, prior, _STRAGGLER_CAP)
-        if first.converged.all():
-            return first
-        idx = np.nonzero(~first.converged)[0]
-        second = self._run_chunks(
-            syndromes[idx],
-            prior if prior.shape[0] == 1 else prior[idx],
-            self.max_iter,
-        )
-        return _merge_rows(first, idx, second)
-
-    def _run_chunks(self, syndromes, prior, max_iter) -> BatchDecodeResult:
-        chunks = [
-            self._decode_chunk(
-                syndromes[i: i + self.batch_size],
-                prior if prior.shape[0] == 1
-                else prior[i: i + self.batch_size],
-                max_iter=max_iter,
-            )
-            for i in range(0, syndromes.shape[0], self.batch_size)
-        ]
-        return _concat_results(chunks)
-
-    def _decode_grouped(
-        self, syndromes, prior, stop_groups
-    ) -> BatchDecodeResult:
-        """Grouped decoding with straggler re-batching per group.
-
-        Pass 1 runs under the straggler cap; every group that saw a
-        convergence is settled (its rows were retired at that very
-        iteration), and the remaining groups — all rows still live —
-        re-decode once from scratch with the full budget.
-        """
-        batch = syndromes.shape[0]
-        if batch <= self.batch_size or self.max_iter <= _STRAGGLER_CAP:
-            return self._run_grouped(syndromes, prior, stop_groups,
-                                     self.max_iter)
-        first = self._run_grouped(syndromes, prior, stop_groups,
-                                  _STRAGGLER_CAP)
-        settled = np.unique(stop_groups[first.converged])
-        redo = ~np.isin(stop_groups, settled)
-        if not redo.any():
-            return first
-        idx = np.nonzero(redo)[0]
-        second = self._run_grouped(
-            syndromes[idx],
-            prior if prior.shape[0] == 1 else prior[idx],
-            stop_groups[idx],
-            self.max_iter,
-        )
-        return _merge_rows(first, idx, second)
-
-    def _run_grouped(
-        self, syndromes, prior, stop_groups, max_iter
-    ) -> BatchDecodeResult:
-        """Chunked grouped decoding that never splits a group.
-
-        Whole groups pack into chunks of roughly ``batch_size`` rows (a
-        group larger than ``batch_size`` gets an oversized chunk), so
-        every group runs in lockstep from iteration 1 and its outcome —
-        which row converges first, where the rest stop — cannot depend
-        on how the surrounding batch was chunked.
-        """
-        batch = syndromes.shape[0]
-        bounds = np.nonzero(np.diff(stop_groups) != 0)[0] + 1
-        segment_ends = np.concatenate([bounds, [batch]])
-        chunks = []
-        lo = 0
-        for hi in segment_ends:
-            if hi - lo >= self.batch_size:
-                chunks.append((lo, int(hi)))
-                lo = int(hi)
-        if lo < batch:
-            chunks.append((lo, batch))
+            segment_ends: np.ndarray = np.arange(1, batch + 1)
+        else:
+            groups = np.asarray(stop_groups).reshape(-1)
+            if groups.shape[0] != batch:
+                raise ValueError(
+                    f"stop_groups length {groups.shape[0]} does not "
+                    f"match {batch} shots"
+                )
+            starts = np.nonzero(np.diff(groups) != 0)[0] + 1
+            heads = groups[np.append(0, starts)]
+            if np.unique(heads).size != heads.size:
+                raise ValueError("rows of one stop_group must be contiguous")
+            segment_ends = np.append(starts, batch)
         parts = [
             self._decode_chunk(
                 syndromes[lo:hi],
                 prior if prior.shape[0] == 1 else prior[lo:hi],
-                groups=stop_groups[lo:hi],
-                max_iter=max_iter,
+                None if groups is None else groups[lo:hi],
             )
-            for lo, hi in chunks
+            for lo, hi in self._plan_chunks(segment_ends)
         ]
-        return _concat_results(parts)
+        return BatchDecodeResult.concat(parts)
 
-    def _normalise_prior(self, prior_llr, batch: int) -> np.ndarray:
+    def _plan_chunks(self, segment_ends: np.ndarray) -> list[tuple[int, int]]:
+        """Row bounds of the chunks, packing whole segments.
+
+        ``segment_ends`` holds the exclusive end row of every
+        ``stop_groups`` group, in order.  Each chunk closes at the first
+        segment end at least ``batch_size`` rows past its start (the
+        last chunk takes the rest), so a group larger than
+        ``batch_size`` gets an oversized chunk and no group is ever
+        split: every group runs in lockstep from iteration 1, whatever
+        else shares the batch.  Plain decoding passes singleton
+        segments, which gives a fixed stride of ``batch_size`` rows.
+        """
+        batch = int(segment_ends[-1])
+        bounds: list[tuple[int, int]] = []
+        lo = 0
+        while lo < batch:
+            k = int(np.searchsorted(segment_ends, lo + self.batch_size))
+            hi = int(segment_ends[k]) if k < segment_ends.size else batch
+            bounds.append((lo, hi))
+            lo = hi
+        return bounds
+
+    def _normalise_prior(
+        self, prior_llr: ArrayLike | None, batch: int
+    ) -> np.ndarray:
         """Coerce a prior override to a ``(1, n)`` or ``(batch, n)`` array."""
         if prior_llr is None:
             return self._prior_llr[None, :]
@@ -322,10 +259,9 @@ class MinSumBP(Decoder):
     def _decode_chunk(
         self,
         syndromes: np.ndarray,
-        prior: np.ndarray | None = None,
-        groups: np.ndarray | None = None,
-        max_iter: int | None = None,
-    ) -> BPBatchResult:
+        prior: np.ndarray,
+        groups: np.ndarray | None,
+    ) -> BatchDecodeResult:
         """Decode one chunk through the kernel backend.
 
         The loop owns scheduling, damping, convergence retirement and
@@ -337,22 +273,18 @@ class MinSumBP(Decoder):
         hooks stay on the decoder, so Mem-BP and sum-product subclasses
         work identically on every backend.
         """
+        if self._uses_fusion:
+            return self._decode_chunk_fused(syndromes, prior, groups)
         kernel = self._kernel
         batch = syndromes.shape[0]
         n = self.edges.n_vars
-        if max_iter is None:
-            max_iter = self.max_iter
-        if prior is None:
-            prior = self._prior_llr[None, :]
-        prior = prior.astype(self.dtype, copy=False)
-        if self._uses_fusion:
-            return self._decode_chunk_fused(syndromes, prior, groups, max_iter)
+        max_iter = self.max_iter
 
         errors = np.zeros((batch, n), dtype=np.uint8)
         marginals = np.broadcast_to(prior, (batch, n)).copy()
         iterations = np.full(batch, max_iter, dtype=np.int64)
         converged = np.zeros(batch, dtype=bool)
-        flips_out = (
+        flips_out: np.ndarray | None = (
             np.zeros((batch, n), dtype=np.int32)
             if self.track_oscillations else None
         )
@@ -360,15 +292,15 @@ class MinSumBP(Decoder):
         # Active-state arrays (compacted as shots converge).  The
         # kernel owns the syndrome context and message buffers; the
         # loop keeps the row-index map and the oscillation counters.
-        index = np.arange(batch)
+        index: np.ndarray = np.arange(batch)
         v2c = kernel.start(syndromes, prior)
-        prev_hard = np.zeros((batch, n), dtype=np.uint8)
-        flips = (
+        prev_hard: np.ndarray = np.zeros((batch, n), dtype=np.uint8)
+        flips: np.ndarray | None = (
             np.zeros((batch, n), dtype=np.int32)
             if self.track_oscillations else None
         )
 
-        marg = np.broadcast_to(prior, (batch, n))
+        marg: np.ndarray = np.broadcast_to(prior, (batch, n))
         for it in range(1, max_iter + 1):
             alpha = self.damping.alpha(it)
             prior_it = self._iteration_prior(prior, marg, it)
@@ -387,7 +319,7 @@ class MinSumBP(Decoder):
                 marginals[done_idx] = marg[done]
                 iterations[done_idx] = it
                 converged[done_idx] = True
-                if flips is not None:
+                if flips is not None and flips_out is not None:
                     flips_out[done_idx] = flips[done]
                 retire = done
                 if groups is not None:
@@ -400,12 +332,12 @@ class MinSumBP(Decoder):
                         errors[kill_idx] = hard[killed]
                         marginals[kill_idx] = marg[killed]
                         iterations[kill_idx] = it
-                        if flips is not None:
+                        if flips is not None and flips_out is not None:
                             flips_out[kill_idx] = flips[killed]
                         retire = done | killed
                 keep = ~retire
                 if not keep.any():
-                    return BPBatchResult(
+                    return BatchDecodeResult(
                         errors, converged, iterations, marginals, flips_out
                     )
                 index = index[keep]
@@ -423,13 +355,18 @@ class MinSumBP(Decoder):
         # Leftovers did not converge within the budget.
         errors[index] = hard
         marginals[index] = marg
-        if flips is not None:
+        if flips is not None and flips_out is not None:
             flips_out[index] = flips
-        return BPBatchResult(errors, converged, iterations, marginals, flips_out)
+        return BatchDecodeResult(
+            errors, converged, iterations, marginals, flips_out
+        )
 
     def _decode_chunk_fused(
-        self, syndromes, prior, groups, max_iter
-    ) -> BPBatchResult:
+        self,
+        syndromes: np.ndarray,
+        prior: np.ndarray,
+        groups: np.ndarray | None,
+    ) -> BatchDecodeResult:
         """Decode one chunk through an iteration-fusing kernel.
 
         The kernel runs spans of up to ``_FUSION_MAX_SPAN`` iterations
@@ -444,9 +381,11 @@ class MinSumBP(Decoder):
         between calls, so long spans run only on the shrinking hard
         tail.
         """
-        kernel = self._kernel
+        # The fusion API is an optional extension outside ``BPKernel``.
+        kernel: Any = self._kernel
         batch = syndromes.shape[0]
         n = self.edges.n_vars
+        max_iter = self.max_iter
 
         errors = np.zeros((batch, n), dtype=np.uint8)
         marginals = np.broadcast_to(prior, (batch, n)).copy()
@@ -457,7 +396,7 @@ class MinSumBP(Decoder):
             if self.track_oscillations else None
         )
 
-        index = np.arange(batch)
+        index: np.ndarray = np.arange(batch)
         kernel.fused_start(syndromes, prior, self.track_oscillations)
 
         it = 0
@@ -484,7 +423,7 @@ class MinSumBP(Decoder):
                     flips_out[done_idx] = kernel.fused_flips[gone]
                 keep = ~frozen
                 if not keep.any():
-                    return BPBatchResult(
+                    return BatchDecodeResult(
                         errors, converged, iterations, marginals, flips_out
                     )
                 index = index[keep]
@@ -502,9 +441,13 @@ class MinSumBP(Decoder):
         marginals[index] = kernel.fused_marg
         if flips_out is not None:
             flips_out[index] = kernel.fused_flips
-        return BPBatchResult(errors, converged, iterations, marginals, flips_out)
+        return BatchDecodeResult(
+            errors, converged, iterations, marginals, flips_out
+        )
 
-    def _iteration_prior(self, prior, marg_prev, iteration: int) -> np.ndarray:
+    def _iteration_prior(
+        self, prior: np.ndarray, marg_prev: np.ndarray, iteration: int
+    ) -> np.ndarray:
         """Prior used at ``iteration`` (hook for memory-augmented BP).
 
         Plain BP uses the channel prior every iteration; Mem-BP blends
@@ -512,7 +455,9 @@ class MinSumBP(Decoder):
         """
         return prior
 
-    def _check_update(self, v2c, sign_syn, alpha) -> np.ndarray:
+    def _check_update(
+        self, v2c: np.ndarray, sign_syn: np.ndarray, alpha: float
+    ) -> np.ndarray:
         """Normalised min-sum check-node update (Eq. 6).
 
         Subclass hook: sum-product BP replaces this with the exact
@@ -520,31 +465,9 @@ class MinSumBP(Decoder):
         """
         return self._kernel.check_update(v2c, sign_syn, alpha)
 
-    def _variable_update(self, c2v, prior) -> tuple[np.ndarray, np.ndarray]:
+    def _variable_update(
+        self, c2v: np.ndarray, prior: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Marginals (Eq. 7) and next variable-to-check messages (Eq. 5)."""
         return self._kernel.variable_update(c2v, prior)
 
-
-def _concat_results(chunks: list[BatchDecodeResult]) -> BatchDecodeResult:
-    return BatchDecodeResult.concat(chunks)
-
-
-def _merge_rows(
-    first: BatchDecodeResult, idx: np.ndarray, second: BatchDecodeResult
-) -> BatchDecodeResult:
-    """Overwrite rows ``idx`` of ``first`` with ``second`` — every
-    column, so no pass-1 value (stage, parallel/initial iterations,
-    ...) survives for a re-decoded row."""
-    first.errors[idx] = second.errors
-    first.converged[idx] = second.converged
-    first.iterations[idx] = second.iterations
-    first.parallel_iterations[idx] = second.parallel_iterations
-    first.initial_iterations[idx] = second.initial_iterations
-    first.stage[idx] = second.stage
-    first.trials_attempted[idx] = second.trials_attempted
-    first.winning_trial[idx] = second.winning_trial
-    first.time_seconds[idx] = second.time_seconds
-    first.marginals[idx] = second.marginals
-    if first.flip_counts is not None:
-        first.flip_counts[idx] = second.flip_counts
-    return first

@@ -89,7 +89,7 @@ class GDGDecoder(Decoder):
 
     def decode(self, syndrome) -> DecodeResult:
         start = time.perf_counter()
-        result = self.decode_many(np.atleast_2d(syndrome)).to_results()[0]
+        result = self.decode_many(np.atleast_2d(syndrome))[0]
         result.time_seconds = time.perf_counter() - start
         return result
 

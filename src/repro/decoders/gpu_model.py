@@ -2,7 +2,8 @@
 
 The paper's GPU numbers are themselves an *estimate*: CUDA-Q decodes
 the initial syndrome; on failure, trial syndromes are decoded
-**one-by-one** because ``decode_batch`` blocks on the slowest member.
+**one-by-one** because CUDA-Q's batch decode call blocks on the
+slowest member.
 We reproduce that estimator as an explicit latency model instead of a
 GPU (none is available offline — see DESIGN.md).  Decode *results* come
 from the exact same BP/BP-SF implementations; only ``time_seconds`` is
@@ -42,7 +43,7 @@ class GPULatencyModel:
                 + iterations * self.per_iteration_us) * 1e-6
 
     def batch_bp_seconds(self, iteration_counts) -> float:
-        """``decode_batch`` semantics: one launch, blocks on the slowest."""
+        """Batched-launch semantics: one launch, blocks on the slowest."""
         counts = np.asarray(iteration_counts)
         if counts.size == 0:
             return 0.0
@@ -67,7 +68,7 @@ class GPUEstimatedBPSF(Decoder):
         self.name = "BP-SF (GPU_Est)"
 
     def decode(self, syndrome) -> DecodeResult:
-        return self.decode_many(np.atleast_2d(syndrome)).to_results()[0]
+        return self.decode_many(np.atleast_2d(syndrome))[0]
 
     def decode_many(self, syndromes) -> BatchDecodeResult:
         """Batch decode with the GPU time model applied column-wise.
@@ -120,7 +121,7 @@ class GPUEstimatedBPOSD(Decoder):
         self.name = "BP1000-OSD10 (GPU)"
 
     def decode(self, syndrome) -> DecodeResult:
-        return self.decode_many(np.atleast_2d(syndrome)).to_results()[0]
+        return self.decode_many(np.atleast_2d(syndrome))[0]
 
     def decode_many(self, syndromes) -> BatchDecodeResult:
         """Batch decode with the GPU time model applied column-wise."""

@@ -2,8 +2,8 @@
 
 :class:`~repro.decoders.bp.MinSumBP` runs one generic decode loop
 (scheduling, damping, convergence retirement, ``stop_groups``
-first-success semantics, straggler re-batching) and delegates every
-array-heavy inner-loop step to a :class:`BPKernel`:
+first-success semantics) and delegates every array-heavy inner-loop
+step to a :class:`BPKernel`:
 
 * the min-sum check-node update,
 * the variable-node marginal/message update,

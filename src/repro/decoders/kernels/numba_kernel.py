@@ -26,8 +26,8 @@ realisation of that claim on CPU.  Strategy (vs.
   the first convergence activity, then grows it (see
   ``MinSumBP._decode_chunk_fused``).
 * **Preallocated workspaces + compaction.**  Capacity-sized buffers are
-  sliced per chunk and forward-compacted as rows retire, so straggler
-  re-batching and BP-SF trial pooling work verbatim; pickling drops the
+  sliced per chunk and forward-compacted as rows retire, so chunked
+  decoding and BP-SF trial pooling work verbatim; pickling drops the
   workspace exactly like the fused backend.
 
 Determinism: all arithmetic stays in the working dtype and segment

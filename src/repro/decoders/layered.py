@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro._matrix import mod2_right_mul
-from repro.decoders.base import DecodeResult, Decoder
-from repro.decoders.bp import BPBatchResult, DampingSchedule, _concat_results
+from repro.decoders.base import BatchDecodeResult, DecodeResult, Decoder
+from repro.decoders.bp import DampingSchedule
 from repro.decoders.tanner import shared_tanner_edges
 from repro.problem import DecodingProblem
 
@@ -81,6 +81,8 @@ class LayeredMinSumBP(Decoder):
     ):
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         self.problem = problem
         self.max_iter = int(max_iter)
         self.damping = (
@@ -140,19 +142,19 @@ class LayeredMinSumBP(Decoder):
     # -- public API -----------------------------------------------------
 
     def decode(self, syndrome) -> DecodeResult:
-        return self.decode_many(np.atleast_2d(syndrome)).to_results()[0]
+        return self.decode_many(np.atleast_2d(syndrome))[0]
 
-    def decode_many(self, syndromes) -> BPBatchResult:
+    def decode_many(self, syndromes) -> BatchDecodeResult:
         syndromes = np.atleast_2d(np.asarray(syndromes, dtype=np.uint8))
         chunks = [
             self._decode_chunk(syndromes[i: i + self.batch_size])
             for i in range(0, syndromes.shape[0], self.batch_size)
         ]
-        return _concat_results(chunks)
+        return BatchDecodeResult.concat(chunks)
 
     # -- core -----------------------------------------------------------
 
-    def _decode_chunk(self, syndromes: np.ndarray) -> BPBatchResult:
+    def _decode_chunk(self, syndromes: np.ndarray) -> BatchDecodeResult:
         edges = self.edges
         batch = syndromes.shape[0]
         n = edges.n_vars
@@ -197,7 +199,7 @@ class LayeredMinSumBP(Decoder):
                     flips_out[done_idx] = flips[done]
                 keep = ~done
                 if not keep.any():
-                    return BPBatchResult(
+                    return BatchDecodeResult(
                         errors, converged, iterations, marginals, flips_out
                     )
                 index = index[keep]
@@ -213,7 +215,9 @@ class LayeredMinSumBP(Decoder):
         marginals[index] = post
         if flips is not None:
             flips_out[index] = flips
-        return BPBatchResult(errors, converged, iterations, marginals, flips_out)
+        return BatchDecodeResult(
+            errors, converged, iterations, marginals, flips_out
+        )
 
     def _layer_update(self, post, c2v, synd, layer: _Layer, alpha) -> None:
         idx = layer.edge_idx

@@ -106,7 +106,7 @@ class RelayBP(Decoder):
     # -- public API -----------------------------------------------------
 
     def decode(self, syndrome) -> DecodeResult:
-        return self.decode_many(np.atleast_2d(syndrome)).to_results()[0]
+        return self.decode_many(np.atleast_2d(syndrome))[0]
 
     def decode_many(self, syndromes) -> BatchDecodeResult:
         """Decode a batch, relaying posteriors across legs per shot."""

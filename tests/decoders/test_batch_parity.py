@@ -82,13 +82,6 @@ def test_decode_many_matches_serial_loop(name, problem, syndromes):
     _assert_parity(batch, singles, name)
 
 
-@pytest.mark.parametrize("name", sorted(DECODER_REGISTRY))
-def test_decode_batch_shim_matches_decode_many(name, problem, syndromes):
-    batch = DECODER_REGISTRY[name](problem).decode_many(syndromes)
-    shim = DECODER_REGISTRY[name](problem).decode_batch(syndromes)
-    _assert_parity(batch, shim, name)
-
-
 class TestPooledTrialPath:
     """The tentpole invariant: BP-SF pools trials across failed shots."""
 
@@ -189,26 +182,27 @@ class TestParallelSelection:
             BPSFDecoder(problem, selection="quantum")
 
 
-class TestStragglerRebatching:
-    """The two-phase straggler path of ``MinSumBP.decode_many`` must be
-    invisible: it triggers only when the batch exceeds ``batch_size``
-    and ``max_iter`` exceeds the internal first-pass cap, so these
-    tests force both (small ``batch_size``, ``max_iter`` 40) and check
-    every column against the single-shot loop."""
+class TestMultiChunkParity:
+    """Chunking in ``MinSumBP.decode_many`` must be invisible: with a
+    batch spread over many chunks (small ``batch_size``) and long
+    trajectories (``max_iter`` 40, some shots running past 16
+    iterations), every column must match the single-shot loop."""
 
     def _columns(self, batch):
         return (batch.errors, batch.converged, batch.iterations,
                 batch.parallel_iterations, batch.initial_iterations,
                 batch.stage, batch.marginals)
 
-    def test_plain_bp_phase2_columns_match_serial(self, problem, syndromes):
+    def test_plain_bp_long_trajectory_columns_match_serial(
+        self, problem, syndromes
+    ):
         from repro.decoders import MinSumBP
 
         bp = MinSumBP(problem, max_iter=40, batch_size=4)
         batch = bp.decode_many(syndromes)
         singles = [bp.decode(s) for s in syndromes]
         assert int(batch.iterations.max()) > 16, (
-            "operating point must produce phase-2 stragglers"
+            "operating point must produce trajectories past 16 iterations"
         )
         np.testing.assert_array_equal(
             batch.errors, np.stack([r.error for r in singles])
@@ -234,13 +228,13 @@ class TestStragglerRebatching:
             batch.marginals, np.stack([r.marginals for r in singles])
         )
 
-    def test_bpsf_parallel_phase2_parity(self, problem, syndromes):
+    def test_bpsf_parallel_multi_chunk_parity(self, problem, syndromes):
         kw = dict(max_iter=40, phi=8, w_max=2, strategy="exhaustive",
                   selection="parallel", bp_kwargs=dict(batch_size=4))
         batch = BPSFDecoder(problem, **kw).decode_many(syndromes)
         serial = BPSFDecoder(problem, **kw)
         _assert_parity(batch, [serial.decode(s) for s in syndromes],
-                       "bpsf-phase2")
+                       "bpsf-multi-chunk")
 
 
 class TestGroupEarlyStop:
@@ -284,9 +278,9 @@ class TestGroupEarlyStop:
 
 
 class TestBatchBookkeeping:
-    """The decode_batch unification bugfix: converged and no-trial shots
-    keep the marginals/flip_counts/parallel_iterations accounting that
-    the single-shot path always carried."""
+    """Converged and no-trial shots of a batch keep the
+    marginals/flip_counts/parallel_iterations accounting that the
+    single-shot path always carried."""
 
     def test_all_shots_carry_bp_soft_information(self, problem, syndromes):
         decoder = BPSFDecoder(
@@ -297,7 +291,7 @@ class TestBatchBookkeeping:
         assert batch.marginals.shape == (len(batch), problem.n_mechanisms)
         assert batch.flip_counts is not None
         assert batch.flip_counts.shape == (len(batch), problem.n_mechanisms)
-        for result in batch.to_results():
+        for result in batch:
             assert result.marginals is not None
             assert result.flip_counts is not None
             assert result.parallel_iterations <= result.iterations
@@ -308,7 +302,7 @@ class TestBatchBookkeeping:
             problem, max_iter=6, phi=8, w_max=1, strategy="exhaustive"
         )
         batch = decoder.decode_many(syndromes)
-        rebuilt = BatchDecodeResult.from_results(batch.to_results())
-        _assert_parity(rebuilt, batch.to_results(), "round-trip")
+        rebuilt = BatchDecodeResult.from_results(list(batch))
+        _assert_parity(rebuilt, list(batch), "round-trip")
         np.testing.assert_array_equal(batch.time_seconds,
                                       rebuilt.time_seconds)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes import hamming_code, repetition_code, surface_code
-from repro.decoders import DampingSchedule, MinSumBP
+from repro.decoders import DampingSchedule, LayeredMinSumBP, MinSumBP
 from repro.noise import code_capacity_problem
 from repro.problem import DecodingProblem
 
@@ -132,6 +132,23 @@ class TestInvariants:
         with pytest.raises(ValueError):
             MinSumBP(problem, max_iter=0)
 
+    @pytest.mark.parametrize("cls", [MinSumBP, LayeredMinSumBP])
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_validated(self, cls, batch_size):
+        problem = code_capacity_problem(surface_code(3), 0.05)
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            cls(problem, batch_size=batch_size)
+
+    @pytest.mark.parametrize("grouped", [False, True],
+                             ids=["plain", "stop_groups"])
+    def test_empty_batch_rejected(self, grouped):
+        problem = code_capacity_problem(surface_code(3), 0.05)
+        bp = MinSumBP(problem, max_iter=5)
+        syndromes = np.zeros((0, problem.n_checks), dtype=np.uint8)
+        stop_groups = np.zeros(0, dtype=int) if grouped else None
+        with pytest.raises(ValueError, match="at least one syndrome"):
+            bp.decode_many(syndromes, stop_groups=stop_groups)
+
 
 class TestOscillationTracking:
     def test_flip_counts_returned_when_tracking(self, rng):
@@ -185,12 +202,27 @@ class TestNumerics:
         assert result.converged
         assert result.error.tolist() == [1, 0]
 
-    def test_chunking_equivalent_to_one_chunk(self, rng):
+    # Group 0 (five rows) is larger than batch_size=3, so it must get
+    # one oversized chunk rather than be split.
+    @pytest.mark.parametrize(
+        "stop_groups",
+        [None, np.array([0, 0, 0, 0, 0, 1, 1, 2, 3, 3])],
+        ids=["plain", "stop_groups"],
+    )
+    def test_chunking_equivalent_to_one_chunk(self, rng, stop_groups):
         problem = code_capacity_problem(surface_code(3), 0.08)
         syndromes = problem.syndromes(problem.sample_errors(10, rng))
-        small = MinSumBP(problem, max_iter=20, batch_size=3)
-        large = MinSumBP(problem, max_iter=20, batch_size=64)
-        r_small = small.decode_many(syndromes)
-        r_large = large.decode_many(syndromes)
-        assert np.array_equal(r_small.errors, r_large.errors)
-        assert np.array_equal(r_small.iterations, r_large.iterations)
+        kw = dict(max_iter=20, track_oscillations=True)
+        small = MinSumBP(problem, batch_size=3, **kw)
+        large = MinSumBP(problem, batch_size=64, **kw)
+        r_small = small.decode_many(syndromes, stop_groups=stop_groups)
+        r_large = large.decode_many(syndromes, stop_groups=stop_groups)
+        for column in (
+            "errors", "converged", "iterations", "marginals", "flip_counts",
+            "parallel_iterations", "initial_iterations", "stage",
+            "trials_attempted", "winning_trial", "time_seconds",
+        ):
+            np.testing.assert_array_equal(
+                getattr(r_small, column), getattr(r_large, column),
+                err_msg=column,
+            )

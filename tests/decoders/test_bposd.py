@@ -23,7 +23,7 @@ class TestStages:
         dec = BPOSDDecoder(problem, max_iter=6, osd_order=4)
         errors = problem.sample_errors(40, rng)
         syndromes = problem.syndromes(errors)
-        results = dec.decode_batch(syndromes)
+        results = dec.decode_many(syndromes)
         stages = {r.stage for r in results}
         assert "post" in stages
         for r in results:
@@ -34,7 +34,7 @@ class TestStages:
         dec = BPOSDDecoder(problem, max_iter=6, osd_order=4)
         errors = problem.sample_errors(25, rng)
         syndromes = problem.syndromes(errors)
-        for i, r in enumerate(dec.decode_batch(syndromes)):
+        for i, r in enumerate(dec.decode_many(syndromes)):
             assert np.array_equal(problem.syndromes(r.error), syndromes[i])
 
 
@@ -46,7 +46,7 @@ class TestQuality:
         bp = MinSumBP(problem, max_iter=25).decode_many(syndromes)
         ler_bp = problem.is_failure(errors, bp.errors).mean()
         dec = BPOSDDecoder(problem, max_iter=25, osd_order=6)
-        est = np.array([r.error for r in dec.decode_batch(syndromes)])
+        est = np.array([r.error for r in dec.decode_many(syndromes)])
         ler_osd = problem.is_failure(errors, est).mean()
         assert ler_osd <= ler_bp + 1e-9
 
@@ -56,7 +56,7 @@ class TestQuality:
         errors = problem.sample_errors(6, rng)
         syndromes = problem.syndromes(errors)
         singles = [dec.decode(s) for s in syndromes]
-        batched = dec.decode_batch(syndromes)
+        batched = dec.decode_many(syndromes)
         for s, b in zip(singles, batched):
             assert s.stage == b.stage
             assert np.array_equal(s.error, b.error)

@@ -41,7 +41,7 @@ class TestFlipBackConsistency:
                           strategy="exhaustive")
         errors = problem.sample_errors(6, rng)
         syndromes = problem.syndromes(errors)
-        for i, result in enumerate(dec.decode_batch(syndromes)):
+        for i, result in enumerate(dec.decode_many(syndromes)):
             if result.converged:
                 assert np.array_equal(
                     problem.syndromes(result.error), syndromes[i]
@@ -53,7 +53,7 @@ class TestFlipBackConsistency:
         # Hunt for a shot that needs post-processing.
         errors = coprime_problem.sample_errors(60, rng)
         syndromes = coprime_problem.syndromes(errors)
-        results = dec.decode_batch(syndromes)
+        results = dec.decode_many(syndromes)
         post = [r for r in results if r.stage == "post"]
         assert post, "expected at least one SF-rescued shot at this p"
         for r in post:
@@ -69,7 +69,7 @@ class TestIterationAccounting:
         syndromes = coprime_problem.syndromes(
             coprime_problem.sample_errors(40, rng)
         )
-        for r in dec.decode_batch(syndromes):
+        for r in dec.decode_many(syndromes):
             assert r.parallel_iterations <= r.iterations
             assert r.initial_iterations <= r.iterations
 
@@ -79,7 +79,7 @@ class TestIterationAccounting:
         syndromes = coprime_problem.syndromes(
             coprime_problem.sample_errors(50, rng)
         )
-        for r in dec.decode_batch(syndromes):
+        for r in dec.decode_many(syndromes):
             if r.stage == "post" and r.winning_trial is not None:
                 floor = r.initial_iterations + 10 * r.winning_trial
                 assert r.iterations >= floor
@@ -96,7 +96,7 @@ class TestErrorSuppression:
         plain = bp.decode_many(syndromes)
         dec = BPSFDecoder(problem, max_iter=50, phi=8, w_max=1,
                           strategy="exhaustive")
-        results = dec.decode_batch(syndromes)
+        results = dec.decode_many(syndromes)
         sf_converged = sum(r.converged for r in results)
         assert sf_converged >= plain.converged.sum()
         # The run must actually have exercised the SF stage.
@@ -110,7 +110,7 @@ class TestErrorSuppression:
         ler_bp = problem.is_failure(errors, plain.errors).mean()
         dec = BPSFDecoder(problem, max_iter=50, phi=8, w_max=1,
                           strategy="exhaustive")
-        est = np.array([r.error for r in dec.decode_batch(syndromes)])
+        est = np.array([r.error for r in dec.decode_many(syndromes)])
         ler_sf = problem.is_failure(errors, est).mean()
         assert ler_sf <= ler_bp + 1e-9
 
@@ -121,7 +121,7 @@ class TestStrategies:
         dec = BPSFDecoder(problem, max_iter=8, phi=12, w_max=3, n_s=4,
                           strategy="sampled", seed=7)
         syndromes = problem.syndromes(problem.sample_errors(20, rng))
-        results = dec.decode_batch(syndromes)
+        results = dec.decode_many(syndromes)
         for r in results:
             if r.stage == "post":
                 assert r.trials_attempted <= 12  # <= n_s * w_max

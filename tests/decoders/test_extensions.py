@@ -64,7 +64,7 @@ class TestSumProductBP:
                           strategy="exhaustive")
         dec.bp_initial = sp
         syndromes = problem.syndromes(problem.sample_errors(30, rng))
-        for i, result in enumerate(dec.decode_batch(syndromes)):
+        for i, result in enumerate(dec.decode_many(syndromes)):
             if result.converged:
                 assert np.array_equal(
                     problem.syndromes(result.error), syndromes[i]
@@ -105,7 +105,7 @@ class TestSelectors:
             candidate_selector=get_selector("combined"),
         )
         syndromes = problem.syndromes(problem.sample_errors(25, rng))
-        for i, result in enumerate(dec.decode_batch(syndromes)):
+        for i, result in enumerate(dec.decode_many(syndromes)):
             if result.converged:
                 assert np.array_equal(
                     problem.syndromes(result.error), syndromes[i]
@@ -144,7 +144,7 @@ class TestWeightedTrials:
                           strategy="weighted", seed=3)
         syndromes = problem.syndromes(problem.sample_errors(60, rng))
         exercised = False
-        for i, result in enumerate(dec.decode_batch(syndromes)):
+        for i, result in enumerate(dec.decode_many(syndromes)):
             if result.stage == "post":
                 exercised = True
             if result.converged:

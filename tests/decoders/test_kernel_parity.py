@@ -17,7 +17,7 @@ that runs for tens of iterations without settling can drift to a
 different (equally valid) solution.  Every workload below is
 therefore designed to stay inside that regime — float32 runs keep
 ``max_iter`` short of the chaos horizon (~30 iterations on the bench
-codes), and the long-trajectory sweeps (stragglers, stop-groups,
+codes), and the long-trajectory sweeps (multi-chunk, stop-groups,
 Mem-BP feedback) compare in float64, whose ~1e9x smaller ulp pushes
 the horizon far past anything tested here.
 
@@ -35,8 +35,8 @@ contract over
 * ``stop_groups`` first-success semantics,
 * the Mem-BP and sum-product subclasses (whose ``_iteration_prior`` /
   ``_check_update`` hooks must survive the seam),
-* the straggler re-batching path and workspace reuse across
-  differently-sized batches,
+* multi-chunk batches with long trajectories and workspace reuse
+  across differently-sized batches,
 * pickling (workers receive kernels without workspace state).
 """
 
@@ -222,7 +222,7 @@ class TestRealCode:
         self, coprime_problem, coprime_syndromes, dtype, damping
     ):
         # max_iter stays below the float32 chaos horizon (see module
-        # docstring) while still crossing the straggler cap.
+        # docstring).
         assert_all_identical(decode_all(
             MinSumBP, coprime_problem, coprime_syndromes,
             max_iter=24, dtype=dtype, damping=damping,
@@ -278,12 +278,13 @@ class TestRealCode:
             max_iter=20, track_oscillations=True,
         ))
 
-    def test_straggler_rebatching_path(
+    def test_multi_chunk_long_trajectories(
         self, coprime_problem, coprime_syndromes
     ):
-        # batch > batch_size and max_iter > the straggler cap exercises
-        # the two-pass phased path on every backend.  60 iterations is
-        # deep in the float32 chaos regime, so compare in float64.
+        # batch > batch_size spreads the batch over several chunks, each
+        # decoded with the full 60-iteration budget on every backend.
+        # 60 iterations is deep in the float32 chaos regime, so compare
+        # in float64.
         assert_all_identical(decode_all(
             MinSumBP, coprime_problem, coprime_syndromes,
             max_iter=60, batch_size=16, dtype=np.float64,

@@ -116,7 +116,7 @@ class TestRelayBP:
         errors = problem.sample_errors(48, rng)
         syndromes = problem.syndromes(errors)
         dec = RelayBP(problem, leg_iters=30, num_legs=3, seed=1)
-        for res, syndrome in zip(dec.decode_batch(syndromes), syndromes):
+        for res, syndrome in zip(dec.decode_many(syndromes), syndromes):
             if res.converged:
                 assert np.array_equal(
                     problem.syndromes(res.error[None, :])[0], syndrome
@@ -128,10 +128,10 @@ class TestRelayBP:
         syndromes = hard_problem.syndromes(errors)
         first_only = RelayBP(
             hard_problem, leg_iters=40, num_legs=0, seed=2
-        ).decode_batch(syndromes)
+        ).decode_many(syndromes)
         chained = RelayBP(
             hard_problem, leg_iters=40, num_legs=4, seed=2
-        ).decode_batch(syndromes)
+        ).decode_many(syndromes)
         conv0 = sum(r.converged for r in first_only)
         conv4 = sum(r.converged for r in chained)
         assert conv4 > conv0
@@ -142,7 +142,7 @@ class TestRelayBP:
         errors = hard_problem.sample_errors(60, rng)
         syndromes = hard_problem.syndromes(errors)
         dec = RelayBP(hard_problem, leg_iters=30, num_legs=3, seed=3)
-        for res in dec.decode_batch(syndromes):
+        for res in dec.decode_many(syndromes):
             assert res.parallel_iterations == res.iterations
             assert res.iterations >= res.initial_iterations
 
@@ -153,7 +153,7 @@ class TestRelayBP:
         dec = RelayBP(
             hard_problem, leg_iters=30, num_legs=5, stop_after=2, seed=4
         )
-        results = dec.decode_batch(syndromes)
+        results = dec.decode_many(syndromes)
         # At least one shot should have kept going past its first
         # solution (trials_attempted counts collected solutions).
         assert any(r.trials_attempted >= 2 for r in results)

@@ -184,9 +184,9 @@ class TestDecodeParity:
 class TestWorkspace:
     def test_compact_mid_decode(self, numba_backend, small_problem,
                                 monkeypatch):
-        # batch > batch_size with max_iter above the straggler cap
-        # drives the two-pass phased path; rows retire at different
-        # iterations, so the fused driver must compact mid-decode.
+        # batch > batch_size spreads the batch over several chunks with
+        # a 40-iteration budget; rows retire at different iterations,
+        # so the fused driver must compact mid-decode.
         synd = syndromes_for(small_problem, 16, 7)
         ref, numba = _pair(
             small_problem, max_iter=40, batch_size=4,

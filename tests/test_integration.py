@@ -35,7 +35,7 @@ class TestCircuitLevelEndToEnd:
         bp = MinSumBP(problem, max_iter=50)
         plain = bp.decode_many(syndromes)
         dec = BPSFDecoder(problem, max_iter=50, phi=20, w_max=4, n_s=5)
-        results = dec.decode_batch(syndromes)
+        results = dec.decode_many(syndromes)
         converged_sf = sum(r.converged for r in results)
         assert converged_sf >= plain.converged.sum()
         for i, r in enumerate(results):
@@ -51,8 +51,8 @@ class TestCircuitLevelEndToEnd:
         syndromes = problem.syndromes(errors)
         sf = BPSFDecoder(problem, max_iter=50, phi=20, w_max=4, n_s=5)
         osd = BPOSDDecoder(problem, max_iter=50, osd_order=10)
-        est_sf = np.stack([r.error for r in sf.decode_batch(syndromes)])
-        est_osd = np.stack([r.error for r in osd.decode_batch(syndromes)])
+        est_sf = np.stack([r.error for r in sf.decode_many(syndromes)])
+        est_osd = np.stack([r.error for r in osd.decode_many(syndromes)])
         ler_sf = problem.is_failure(errors, est_sf).mean()
         ler_osd = problem.is_failure(errors, est_osd).mean()
         # Allow generous Monte-Carlo slack at 200 shots.

@@ -69,7 +69,7 @@ class TestHardwarePipeline:
             strategy="sampled", seed=2,
         )
         errors = circuit_problem.sample_errors(40, rng)
-        results = decoder.decode_batch(circuit_problem.syndromes(errors))
+        results = decoder.decode_many(circuit_problem.syndromes(errors))
         report = HardwareLatencyModel().real_time_report(
             results, rounds=circuit_problem.rounds
         )
@@ -86,7 +86,7 @@ class TestHardwarePipeline:
         )
         hardware = HardwareLatencyModel()
         errors = circuit_problem.sample_errors(40, rng)
-        results = decoder.decode_batch(circuit_problem.syndromes(errors))
+        results = decoder.decode_many(circuit_problem.syndromes(errors))
         service = hardware.latencies_us(results, parallel=True)
         report = simulate_stream(
             service, hardware.syndrome_budget_us(circuit_problem.rounds)
