@@ -33,8 +33,8 @@ Subcommands:
   clients and verified bit-identical against offline ``decode_many``;
 * ``hardware`` — the Discussion's real-time latency budget table;
 * ``backends`` — registered BP kernel backends with availability,
-  runtime version and the import error keeping an optional backend
-  (``numba``) out of the registry;
+  runtime version and the error keeping an optional backend
+  (``native``: cffi + a C compiler) out of the registry;
 * ``lint`` — the repo-contract static-analysis pass (seed discipline,
   wall-clock bans, optional-import guarding, hygiene) and, with
   ``--contracts``, the import-time registry contract checker
@@ -221,7 +221,7 @@ def _decode_workload(args):
         # validate() reports unknown components in the historical
         # decoder -> code -> backend order with the historical texts
         # (resolve_backend's message lists the known backends and any
-        # registered-but-uninstalled optional ones, e.g. numba).
+        # registered-but-unavailable optional ones, e.g. native).
         print(str(exc), file=sys.stderr)
         return None, None, 2
     try:
@@ -931,8 +931,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="decoder registry name (default bpsf)")
     ler.add_argument("--backend", default="auto",
                      help="BP kernel backend: auto, reference, fused "
-                          "or numba (default auto; integer outputs "
-                          "are bit-identical across backends — see "
+                          "or native (default auto; outputs are "
+                          "bit-identical across backends — see "
                           "README 'Kernel backends' and 'python -m "
                           "repro backends')")
     ler.add_argument("--p", type=float, default=0.05,
@@ -1082,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decoder registry name (default bpsf)")
     serve.add_argument("--backend", default="auto",
                        help="BP kernel backend: auto, reference, fused "
-                            "or numba")
+                            "or native")
     serve.add_argument("--p", type=float, default=0.05,
                        help="physical error rate (default 0.05)")
     serve.add_argument("--circuit", action="store_true",
@@ -1184,8 +1184,8 @@ def build_parser() -> argparse.ArgumentParser:
         "backends",
         help="list BP kernel backends (availability, runtime version)",
         description="Registered BP kernel backends.  Optional backends "
-                    "(numba) are probed on the spot: an uninstalled "
-                    "dependency is reported with its import error "
+                    "(native) are probed on the spot: a failed build "
+                    "or missing dependency is reported with its error "
                     "instead of silently hiding the backend.",
     )
 

@@ -3,7 +3,7 @@
 The measurement core behind ``benchmarks/test_kernel_backends.py`` and
 the fast-gate smoke test: decode identical syndrome batches with every
 *available* BP kernel backend (``reference`` and ``fused`` always;
-``numba`` when its dependency is installed) and report wall-clock,
+``native`` wherever its C kernel builds) and report wall-clock,
 shots/s and BP-iterations/s per backend, per workload:
 
 * ``coprime_154_code_capacity`` — the paper's oscillation-heavy code
@@ -15,18 +15,12 @@ shots/s and BP-iterations/s per backend, per workload:
   BP and by the full BP-SF pipeline.
 
 Parity is recorded alongside throughput so a silent numeric drift
-fails the benchmark rather than skewing LER tables.  Backends with
-``deterministic_sums = True`` must match the reference bit-for-bit on
-integer outputs (``bit_identical``: errors + converged + iterations).
-A backend that reorders float reductions (numba) cannot promise that
-at benchmark scale — reduction-order ulps amplify chaotically along
-long float32 min-sum trajectories, so shots that never converge may
-decode differently — and instead records ``integer_match``, the
-fraction of shots whose integer outputs equal the reference (expected
-near 1: only chaotic never-converging shots can drift).
+fails the benchmark rather than skewing LER tables: every backend must
+match the reference bit-for-bit on integer outputs (``bit_identical``:
+errors + converged + iterations).
 
-Timing excludes JIT warm-up: every backend's first (untimed) decode in
-``_time_decode`` triggers numba compilation before the stopwatch runs.
+Timing excludes one-off set-up: every backend's first (untimed) decode
+in ``_time_decode`` allocates its workspaces before the stopwatch runs.
 """
 
 from __future__ import annotations
@@ -39,13 +33,13 @@ import numpy as np
 from repro.circuits import circuit_level_problem
 from repro.codes import get_code
 from repro.decoders import BPSFDecoder, MinSumBP
-from repro.decoders.kernels import KERNEL_BACKENDS, available_backends
+from repro.decoders.kernels import available_backends
 from repro.noise import code_capacity_problem
 
 __all__ = ["BACKENDS", "kernel_backend_report"]
 
 # Every backend usable in this environment (probes optional backends
-# such as numba at import).  "reference" is the comparison baseline.
+# such as native at import, which may compile its C kernel).  "reference" is the comparison baseline.
 BACKENDS = available_backends()
 
 
@@ -67,8 +61,7 @@ def _time_decode(make_decoder, syndromes, repeats):
     and the returned result describing the same decode.
 
     The untimed warm-up decode also absorbs one-off costs outside the
-    measurement's scope — most importantly numba JIT compilation, which
-    would otherwise dominate that backend's first repeat.
+    measurement's scope (first-touch workspace allocation).
     """
     make_decoder().decode_many(syndromes[: min(8, syndromes.shape[0])])
     best = float("inf")
@@ -103,28 +96,16 @@ def _compare_backends(make_decoder, syndromes, repeats):
     entry["speedup"] = round(
         entry["reference"]["seconds"] / entry["fused"]["seconds"], 3
     )
-    if "numba" in results:
-        entry["numba_vs_fused_speedup"] = round(
-            entry["fused"]["seconds"] / entry["numba"]["seconds"], 3
+    if "native" in results:
+        entry["native_vs_fused_speedup"] = round(
+            entry["fused"]["seconds"] / entry["native"]["seconds"], 3
         )
     entry["bit_identical"] = all(
         np.array_equal(ref.errors, out.errors)
         and np.array_equal(ref.converged, out.converged)
         and np.array_equal(ref.iterations, out.iterations)
-        for backend, out in results.items()
-        if KERNEL_BACKENDS[backend].deterministic_sums
+        for out in results.values()
     )
-    for backend, out in results.items():
-        if KERNEL_BACKENDS[backend].deterministic_sums:
-            continue
-        match = (
-            (out.errors == ref.errors).all(axis=1)
-            & (out.converged == ref.converged)
-            & (out.iterations == ref.iterations)
-        )
-        entry[backend]["integer_match"] = round(
-            float(match.mean()), 4
-        )
     return entry
 
 

@@ -89,8 +89,8 @@ class MinSumBP(Decoder):
         Rows per internal chunk (at least 1; a memory knob).  Each
         chunk decodes once with the full ``max_iter`` budget.
     backend:
-        Inner-loop kernel backend: ``"reference"``, ``"fused"`` or
-        ``"auto"``/``None`` (defer to an active
+        Inner-loop kernel backend: ``"reference"``, ``"fused"``,
+        ``"native"`` or ``"auto"``/``None`` (defer to an active
         :func:`repro.decoders.kernels.use_backend` scope, then the
         ``REPRO_BP_BACKEND`` environment variable, then the default).
         All backends are bit-identical; see
@@ -397,20 +397,20 @@ class MinSumBP(Decoder):
         )
 
         index: np.ndarray = np.arange(batch)
-        kernel.fused_start(syndromes, prior, self.track_oscillations)
+        alphas = np.array(
+            [self.damping.alpha(i) for i in range(1, max_iter + 1)],
+            dtype=self.dtype,
+        )
+        kernel.fused_start(
+            syndromes, prior, groups, alphas, self.track_oscillations
+        )
 
         it = 0
         span = 1
         active = False
         while it < max_iter:
             width = min(span, max_iter - it)
-            alphas = np.array(
-                [self.damping.alpha(it + j + 1) for j in range(width)],
-                dtype=self.dtype,
-            )
-            conv, frozen, stop_rel = kernel.fused_run(
-                alphas, it, prior, groups
-            )
+            conv, frozen, stop_rel = kernel.fused_run(it, width)
             if frozen.any():
                 active = True
                 gone = np.nonzero(frozen)[0]
@@ -428,10 +428,6 @@ class MinSumBP(Decoder):
                     )
                 index = index[keep]
                 kernel.fused_compact(keep)
-                if prior.shape[0] != 1:
-                    prior = prior[keep]
-                if groups is not None:
-                    groups = groups[keep]
             it += width
             if active:
                 span = min(span * 2, _FUSION_MAX_SPAN)

@@ -145,7 +145,7 @@ class BPSFDecoder(Decoder):
         Use the layered schedule for both the initial and trial BP.
     backend:
         Kernel backend for the inner BP (``"reference"``/``"fused"``/
-        ``"auto"``; see :mod:`repro.decoders.kernels`).  Forwarded to
+        ``"native"``/``"auto"``; see :mod:`repro.decoders.kernels`).  Forwarded to
         both the initial and trial decoders when the inner BP is a
         :class:`~repro.decoders.bp.MinSumBP` subclass; the layered
         schedule has its own update structure and ignores the knob.

@@ -8,21 +8,23 @@ delegate their inner loop to a :class:`BPKernel`:
 * ``"fused"`` — :class:`FusedKernel`, one preallocated per-chunk
   workspace reused across iterations plus an edge-domain
   ``bitwise_xor.reduceat`` parity check;
-* ``"numba"`` — :class:`~repro.decoders.kernels.numba_kernel
-  .NumbaKernel`, JIT-compiled ``prange``-parallel kernels over a
-  CSR-flattened Tanner graph with multi-iteration fusion.  *Optional*:
-  registered lazily, appears in ``KERNEL_BACKENDS`` only when the
-  ``numba`` dependency imports (``python -m repro backends`` reports
-  availability either way);
+* ``"native"`` — :class:`~repro.decoders.kernels.native.NativeKernel`,
+  a ``FusedKernel`` whose multi-iteration fusion API runs in a small C
+  kernel: single-threaded, GIL released during each call, compiled on
+  first use with ``$CC`` (default ``cc``) into ``$XDG_CACHE_HOME/repro``
+  (default ``~/.cache/repro``) and loaded through cffi.  *Optional*:
+  registered by loader, so without cffi or a working compiler it is
+  reported unavailable (``python -m repro backends`` shows the build
+  error) and the default falls back to ``fused``;
 * ``"auto"`` (default) — defer to :func:`use_backend` /
-  ``REPRO_BP_BACKEND`` / the built-in default (``fused``).
+  ``REPRO_BP_BACKEND`` / the built-in default (``native`` whenever it
+  builds, else ``fused``).
 
-Integer/sign outputs are bit-identical across backends (enforced by
-``tests/decoders/test_kernel_parity.py``); backends that reorder float
-reductions declare ``deterministic_sums = False`` and their LLR columns
-are tolerance-compared instead.  The knob exists for debugging,
-benchmarking (``benchmarks/test_kernel_backends.py``) and as the seam
-further GPU/SIMD kernels plug into.
+Every backend is bit-identical to the reference on every output,
+marginals included (``deterministic_sums = True``, enforced by
+``tests/decoders/test_kernel_parity.py``).  The knob exists for
+debugging, benchmarking (``benchmarks/test_kernel_backends.py``) and as
+the seam further GPU/SIMD kernels plug into.
 """
 
 from __future__ import annotations
@@ -63,18 +65,12 @@ KERNEL_BACKENDS["reference"] = ReferenceKernel
 KERNEL_BACKENDS["fused"] = FusedKernel
 
 
-def _load_numba_backend() -> type:
-    """Loader for the optional numba backend (see base.py registry).
+def _load_native_backend() -> type:
+    """Loader for the C backend: builds (or opens the cached) kernel."""
+    from repro.decoders.kernels import native
 
-    The module itself always imports (it carries a pure-Python
-    fallback so its algorithm stays testable without the JIT); the
-    *backend registration* is what stays gated on the real dependency.
-    """
-    from repro.decoders.kernels import numba_kernel
-
-    if not numba_kernel.NUMBA_AVAILABLE:
-        raise ImportError(numba_kernel.NUMBA_IMPORT_ERROR)
-    return numba_kernel.NumbaKernel
+    native.load_library()
+    return native.NativeKernel
 
 
-register_optional_backend("numba", _load_numba_backend)
+register_optional_backend("native", _load_native_backend)

@@ -11,31 +11,34 @@ step to a :class:`BPKernel`:
 * per-chunk state (syndrome sign context, message buffers) and its
   compaction as shots retire.
 
-Two CPU backends ship today — :class:`~repro.decoders.kernels.reference
-.ReferenceKernel` (the historical allocating implementation) and
+Three CPU backends ship today — :class:`~repro.decoders.kernels
+.reference.ReferenceKernel` (the historical allocating implementation),
 :class:`~repro.decoders.kernels.fused.FusedKernel` (preallocated
-workspace + edge-domain parity check) — and they are **bit-identical**
-by construction; ``tests/decoders/test_kernel_parity.py`` enforces it.
-A GPU/SIMD kernel (the ROADMAP open item) plugs in by implementing the
-same protocol.
+workspace + edge-domain parity check) and :class:`~repro.decoders
+.kernels.native.NativeKernel` (``fused`` plus a C multi-iteration
+driver) — and they are **bit-identical**;
+``tests/decoders/test_kernel_parity.py`` enforces it.  A GPU/SIMD
+kernel plugs in by implementing the same protocol.
 
 Backend selection
 -----------------
 ``resolve_backend(None | "auto")`` consults, in order: an active
 :func:`use_backend` override (how the registry threads an explicit
 choice into decoders it builds), the ``REPRO_BP_BACKEND`` environment
-variable, and finally the default (``fused``).  Explicit names
-(``"reference"``/``"fused"``/``"numba"``) always win.
+variable, and finally :func:`default_backend` (``native`` whenever its
+C kernel builds, else ``fused``).  Explicit names
+(``"reference"``/``"fused"``/``"native"``) always win.
 
 Optional backends
 -----------------
-Backends with third-party dependencies (the ``numba`` JIT backend)
-register a *loader* via :func:`register_optional_backend` instead of a
-class: ``KERNEL_BACKENDS`` gains the entry only once the dependency
-actually imports, which :func:`resolve_backend`, :func:`available_backends`
-and :func:`backend_availability` all trigger lazily.  A failed import is
-remembered and surfaces in ``resolve_backend``'s error ("known but not
-installed"), never as a silent omission.
+Backends with external dependencies (``native`` needs cffi and a C
+compiler) register a *loader* via :func:`register_optional_backend`
+instead of a class: ``KERNEL_BACKENDS`` gains the entry only once the
+loader succeeds, which :func:`resolve_backend`,
+:func:`available_backends`, :func:`backend_availability` and
+:func:`default_backend` all trigger lazily.  A failed load is
+remembered and surfaces in ``resolve_backend``'s error ("registered but
+unavailable"), never as a silent omission.
 """
 
 from __future__ import annotations
@@ -80,14 +83,11 @@ class BPKernel(ABC):
 
     with :meth:`compact` between iterations whenever rows retire.
 
-    Determinism contract: integer/sign outputs (``hard_decision``,
-    ``converged``, the syndrome context) must be *bit-identical* across
-    backends.  Backends whose float sums follow the reference's
-    reduction order exactly additionally keep :attr:`deterministic_sums`
-    ``True`` and are bit-identical on LLR columns too; a backend that
-    reorders float reductions (SIMD/GPU/JIT) declares
-    ``deterministic_sums = False`` and the parity suite compares its
-    LLR outputs with dtype-tiered tolerances instead.
+    Determinism contract: every output (``hard_decision``,
+    ``converged``, the syndrome context and the LLR columns) must be
+    *bit-identical* across backends, so float sums must follow the
+    reference's reduction order exactly; a backend states that by
+    declaring :attr:`deterministic_sums` ``True``.
     """
 
     #: Registry name of the backend ("reference", "fused", ...).
@@ -168,8 +168,12 @@ class BPKernel(ABC):
 
 
 def default_backend() -> str:
-    """The backend used when nothing selects one explicitly."""
-    return "fused"
+    """The backend used when nothing selects one explicitly.
+
+    ``native`` whenever its C kernel builds and loads (the first call
+    may compile it), otherwise ``fused``.
+    """
+    return "native" if _load_optional("native") else "fused"
 
 
 def resolve_backend(backend: str | None = None) -> str:
@@ -197,8 +201,8 @@ def resolve_backend(backend: str | None = None) -> str:
             if not _load_optional(backend):
                 raise ValueError(
                     f"unknown BP kernel backend {backend!r}: the "
-                    f"optional backend is registered but its dependency "
-                    f"is not installed ({_OPTIONAL_ERRORS[backend]})"
+                    f"optional backend is registered but is unavailable "
+                    f"({_OPTIONAL_ERRORS[backend]})"
                 )
         else:
             known = "auto, " + ", ".join(sorted(KERNEL_BACKENDS))
@@ -207,7 +211,7 @@ def resolve_backend(backend: str | None = None) -> str:
                 if name not in KERNEL_BACKENDS
             )
             extra = (
-                f" (optional, not installed: {', '.join(missing)})"
+                f" (optional, unavailable: {', '.join(missing)})"
                 if missing else ""
             )
             raise ValueError(

@@ -73,7 +73,7 @@ def get_decoder(
     """Build the registry decoder ``name`` for ``problem``.
 
     ``backend`` optionally pins the BP kernel backend
-    (``"reference"``/``"fused"``) for every BP instance the factory
+    (``"reference"``/``"fused"``/``"native"``) for every BP instance the factory
     builds — including inner decoders of composites like BP-SF — via a
     scoped :func:`repro.decoders.kernels.use_backend` override, so
     factories whose signatures predate the knob still honour it.

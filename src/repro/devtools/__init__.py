@@ -12,9 +12,9 @@ of *repo contracts* that no unit test can watch globally:
 * **Clock discipline** — stream-determining modules (shard seeding,
   BP kernels, sweep-point hashing) must never read wall clocks
   (``REP002``).
-* **Optional-dependency guarding** — ``numba``/``cupy`` imports must
-  be guarded so the base install degrades to a clean "unavailable"
-  report instead of an import crash (``REP003``).
+* **Optional-dependency guarding** — ``cffi``/``cupy``/``numba``
+  imports must be guarded so the base install degrades to a clean
+  "unavailable" report instead of an import crash (``REP003``).
 * **Python hygiene** — mutable default arguments and bare ``except:``
   in ``src/repro`` (``REP004``).
 * **Registry protocol conformance** — every ``DECODER_REGISTRY`` and

@@ -12,8 +12,8 @@ assumes but cannot test locally:
   ``supports_iteration_fusion`` really ships the fusion API.
 * **Determinism declaration** (``REP102``) — every kernel backend
   *explicitly* declares its ``deterministic_sums`` tier (a bool in the
-  class body, not a silent inherit), because the parity suite and the
-  bench artifact branch on it.
+  class body, not a silent inherit), so a new backend states on purpose
+  that its float sums follow the reference's reduction order.
 * **Picklability** (``REP103``) — decoder factories, built decoder
   instances and kernel instances round-trip ``pickle``: the
   engine-worker contract that lets sharded runs ship decoder specs to
@@ -223,7 +223,7 @@ def check_kernel_contracts(problem=None) -> Iterator[LintViolation]:
                 "REP102",
                 f"kernel backend {name!r} must explicitly declare its "
                 f"deterministic_sums tier (bool) in the class body; "
-                f"the parity suite and bench artifact branch on it",
+                f"its float sums must follow the reference's order",
             )
         abstract = getattr(cls, "__abstractmethods__", frozenset())
         for method in KERNEL_PROTOCOL:

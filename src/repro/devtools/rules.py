@@ -12,8 +12,8 @@ Each rule encodes one of the repo contracts described in
   (shard seeding, BP kernels, sweep-point hashing).  A timestamp that
   leaks into a seed, a message schedule or a content hash makes two
   runs of the same spec silently different.
-* ``REP003`` — unguarded optional imports: ``numba``/``cupy`` must be
-  wrapped in ``try/except ImportError`` (and backends registered via
+* ``REP003`` — unguarded optional imports: ``cffi``/``cupy``/``numba``
+  must be wrapped in ``try/except ImportError`` (and backends registered via
   ``register_optional_backend``) so the base install degrades to a
   clean "unavailable" report.
 * ``REP004`` — mutable default arguments and bare ``except:``: the
@@ -84,7 +84,7 @@ _WALL_CLOCK_FNS = frozenset({
 _DATETIME_NOW_FNS = frozenset({"now", "utcnow", "today"})
 
 # Top-level packages that are optional dependencies of the repo.
-_OPTIONAL_MODULES = frozenset({"numba", "cupy"})
+_OPTIONAL_MODULES = frozenset({"cffi", "cupy", "numba"})
 
 
 @dataclass
@@ -322,7 +322,7 @@ class UnguardedOptionalImportRule(Rule):
     code = "REP003"
     name = "unguarded-optional-import"
     description = (
-        "numba/cupy imports must sit inside try/except ImportError "
+        "cffi/cupy/numba imports must sit inside try/except ImportError "
         "(and register backends via register_optional_backend) so the "
         "base install degrades cleanly"
     )

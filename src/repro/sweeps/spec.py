@@ -349,9 +349,9 @@ def spec_from_mapping(data: dict, *, source: str | None = None) -> SweepSpec:
             backend = None  # ambient default; identical results anyway
         else:
             try:
-                # Loads optional backends (numba) on the spot; an
-                # uninstalled dependency fails here with its import
-                # error rather than mid-sweep.
+                # Loads optional backends (native) on the spot; an
+                # unavailable one fails here with its build error
+                # rather than mid-sweep.
                 resolve_backend(backend)
             except ValueError as exc:
                 raise ValueError(f"[[grid]] {figure}: {exc}") from None

@@ -1,29 +1,10 @@
 """Cross-backend parity: every registered kernel must equal the reference.
 
-The kernel-backend seam's contract has two tiers.  Backends that
-reproduce the reference's reduction order (``deterministic_sums =
-True``: ``reference``, ``fused``) must match it bit-exactly on every
-output array, marginals included.  A backend that reorders float
-reductions (SIMD/JIT — the ``numba`` backend) declares
-``deterministic_sums = False``: its integer/sign outputs
-(``errors``, ``converged``, ``iterations``, ``flip_counts``) must
-still be bit-exact, and its marginals are compared with dtype-tiered
-tolerances.
-
-The integer-exactness demand is only meaningful inside the *stable
-regime*: reduction-order ulps amplify roughly a decade per ~5
-iterations along oscillating min-sum trajectories, so a float32 shot
-that runs for tens of iterations without settling can drift to a
-different (equally valid) solution.  Every workload below is
-therefore designed to stay inside that regime — float32 runs keep
-``max_iter`` short of the chaos horizon (~30 iterations on the bench
-codes), and the long-trajectory sweeps (multi-chunk, stop-groups,
-Mem-BP feedback) compare in float64, whose ~1e9x smaller ulp pushes
-the horizon far past anything tested here.
-
-``BACKENDS`` is discovered at import time via ``available_backends()``,
-so installing an optional backend (``pip install numba``) widens this
-whole suite to cover it with no test changes.  The suite sweeps the
+Every backend reproduces the reference's reduction order
+(``deterministic_sums = True``), so each must match it bit-exactly on
+every output array, marginals included.  ``BACKENDS`` is discovered at
+import time via ``available_backends()``: ``reference``, ``fused`` and,
+wherever its C kernel builds, ``native``.  The suite sweeps the
 contract over
 
 * random Tanner graphs (hypothesis), including empty checks, isolated
@@ -52,11 +33,12 @@ from hypothesis.extra.numpy import arrays
 from repro.codes import get_code
 from repro.decoders import MinSumBP, get_decoder, make_decoder_factory
 from repro.decoders.kernels import (
-    KERNEL_BACKENDS,
+    OPTIONAL_BACKENDS,
     available_backends,
     resolve_backend,
     use_backend,
 )
+from repro.decoders.kernels import base as kernels_base
 from repro.decoders.membp import MemoryMinSumBP
 from repro.decoders.sum_product import SumProductBP
 from repro.noise import code_capacity_problem
@@ -65,17 +47,6 @@ from repro.problem import DecodingProblem
 # Every backend actually usable in this environment; "reference" is the
 # comparison baseline and always sorts present.
 BACKENDS = available_backends()
-
-# Marginal tolerances for deterministic_sums=False backends: float
-# reduction-order ulps are amplified by long (possibly chaotic)
-# min-sum trajectories — roughly one decade per ~5 iterations on
-# oscillating shots — so the tier scales with the dtype's ulp and
-# leaves headroom for the longest trajectory in this suite (60
-# iterations: measured ~3e-2 drift in float32, ~3e-6 in float64).
-_MARG_TOL = {
-    np.dtype(np.float32): {"rtol": 1e-1, "atol": 1e-1},
-    np.dtype(np.float64): {"rtol": 1e-4, "atol": 1e-4},
-}
 
 
 def problem_from_matrix(h) -> DecodingProblem:
@@ -96,37 +67,21 @@ def syndromes_for(problem, batch, seed):
     return problem.syndromes(problem.sample_errors(batch, rng))
 
 
-def assert_identical(a, b, *, sums_exact=True, dtype=np.float32):
-    """Compare two backend results under the determinism contract.
-
-    Integer/sign outputs are always bit-exact; marginals are bit-exact
-    when the backend declares ``deterministic_sums`` and
-    tolerance-compared otherwise.
-    """
+def assert_identical(a, b):
+    """Two backend results agree bit-for-bit on every output array."""
     assert np.array_equal(a.errors, b.errors)
     assert np.array_equal(a.converged, b.converged)
     assert np.array_equal(a.iterations, b.iterations)
-    if sums_exact:
-        assert np.array_equal(a.marginals, b.marginals)
-    else:
-        assert np.allclose(
-            a.marginals, b.marginals, **_MARG_TOL[np.dtype(dtype)]
-        )
+    assert np.array_equal(a.marginals, b.marginals)
     if a.flip_counts is not None or b.flip_counts is not None:
         assert np.array_equal(a.flip_counts, b.flip_counts)
 
 
-def assert_all_identical(results, *, dtype=np.float32):
+def assert_all_identical(results):
     """Assert every backend's result matches the reference baseline."""
     ref = results["reference"]
-    for backend, out in results.items():
-        if backend == "reference":
-            continue
-        assert_identical(
-            ref, out,
-            sums_exact=KERNEL_BACKENDS[backend].deterministic_sums,
-            dtype=dtype,
-        )
+    for out in results.values():
+        assert_identical(ref, out)
 
 
 def decode_all(cls, problem, synd, *, decode_kwargs=None, **kwargs):
@@ -221,13 +176,11 @@ class TestRealCode:
     def test_dtype_damping_sweep(
         self, coprime_problem, coprime_syndromes, dtype, damping
     ):
-        # max_iter stays below the float32 chaos horizon (see module
-        # docstring).
         assert_all_identical(decode_all(
             MinSumBP, coprime_problem, coprime_syndromes,
             max_iter=24, dtype=dtype, damping=damping,
             track_oscillations=True,
-        ), dtype=dtype)
+        ))
 
     def test_per_shot_priors(self, coprime_problem, coprime_syndromes):
         n = coprime_problem.n_mechanisms
@@ -246,23 +199,17 @@ class TestRealCode:
     ):
         batch = coprime_syndromes.shape[0]
         groups = np.repeat(np.arange(batch // 4), 4)
-        # 40 iterations is past the float32 chaos horizon for
-        # non-deterministic backends, so this long-trajectory sweep
-        # compares in float64 (divergence stays ~1e-8 there).
         assert_all_identical(decode_all(
             MinSumBP, coprime_problem, coprime_syndromes, max_iter=40,
-            dtype=np.float64,
             decode_kwargs={"stop_groups": groups},
-        ), dtype=np.float64)
+        ))
 
     def test_memory_bp_subclass(self, coprime_problem, coprime_syndromes):
-        # Mem-BP's prior feedback amplifies reduction-order ulps faster
-        # than plain min-sum, so the subclass sweeps compare in float64.
         assert_all_identical(decode_all(
             MemoryMinSumBP, coprime_problem, coprime_syndromes,
             gamma=0.5, max_iter=25, dtype=np.float64,
             track_oscillations=True,
-        ), dtype=np.float64)
+        ))
 
     def test_disordered_memory_bp(self, coprime_problem, coprime_syndromes):
         n = coprime_problem.n_mechanisms
@@ -270,7 +217,7 @@ class TestRealCode:
         assert_all_identical(decode_all(
             MemoryMinSumBP, coprime_problem, coprime_syndromes,
             gamma=gamma, max_iter=25, dtype=np.float64,
-        ), dtype=np.float64)
+        ))
 
     def test_sum_product_subclass(self, coprime_problem, coprime_syndromes):
         assert_all_identical(decode_all(
@@ -283,12 +230,10 @@ class TestRealCode:
     ):
         # batch > batch_size spreads the batch over several chunks, each
         # decoded with the full 60-iteration budget on every backend.
-        # 60 iterations is deep in the float32 chaos regime, so compare
-        # in float64.
         assert_all_identical(decode_all(
             MinSumBP, coprime_problem, coprime_syndromes,
-            max_iter=60, batch_size=16, dtype=np.float64,
-        ), dtype=np.float64)
+            max_iter=60, batch_size=16,
+        ))
 
     def test_workspace_survives_batch_resizing(self, coprime_problem):
         # Shrinking and growing batches reuse / reallocate the fused
@@ -314,27 +259,41 @@ class TestRealCode:
         )
 
 
+@pytest.fixture
+def broken_optional(monkeypatch):
+    """A registered optional backend whose dependency fails to load."""
+
+    def loader():
+        raise ImportError("No module named 'warpdrive'")
+
+    monkeypatch.setitem(OPTIONAL_BACKENDS, "warp9", loader)
+    monkeypatch.setattr(kernels_base, "_OPTIONAL_ERRORS", {})
+    return "warp9"
+
+
 class TestBackendSelection:
     def test_resolve_backend_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown BP kernel backend"):
             resolve_backend("simd9000")
 
-    def test_unknown_name_error_mentions_uninstalled_optionals(self):
+    def test_unknown_name_error_mentions_uninstalled_optionals(
+        self, broken_optional
+    ):
         with pytest.raises(
             ValueError, match="unknown BP kernel backend"
         ) as excinfo:
             resolve_backend("simd9000")
-        if "numba" not in KERNEL_BACKENDS:
-            # Registered-but-uninstalled optionals must be named, not
-            # silently omitted.
-            assert "numba" in str(excinfo.value)
-            assert "not installed" in str(excinfo.value)
+        # Registered-but-unavailable optionals must be named, not
+        # silently omitted.
+        assert broken_optional in str(excinfo.value)
+        assert "unavailable" in str(excinfo.value)
 
-    def test_optional_backend_unavailable_error_carries_cause(self):
-        if "numba" in available_backends():
-            pytest.skip("numba installed; unavailable path unreachable")
-        with pytest.raises(ValueError, match="is not installed"):
-            resolve_backend("numba")
+    def test_optional_backend_unavailable_error_carries_cause(
+        self, broken_optional
+    ):
+        with pytest.raises(ValueError, match="is unavailable.*warpdrive"):
+            resolve_backend(broken_optional)
+        assert broken_optional not in available_backends()
 
     def test_env_var_selects_default(self, monkeypatch, coprime_problem):
         monkeypatch.setenv("REPRO_BP_BACKEND", "reference")
