@@ -1199,8 +1199,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "(REP003), mutable-default/bare-except hygiene "
                     "(REP004).  --contracts instead loads the decoder "
                     "and kernel registries and verifies protocol "
-                    "conformance, determinism declarations and pickle "
-                    "round-trips (REP101-REP105).  Rule codes are "
+                    "conformance, constructibility, names and pickle "
+                    "round-trips (REP101, REP103-REP105).  Rule codes are "
                     "catalogued in docs/invariants.md.",
     )
     lint.add_argument("paths", nargs="*",

@@ -4,7 +4,10 @@ The measurement core behind ``benchmarks/test_kernel_backends.py`` and
 the fast-gate smoke test: decode identical syndrome batches with every
 *available* BP kernel backend (``reference`` and ``fused`` always;
 ``native`` wherever its C kernel builds) and report wall-clock,
-shots/s and BP-iterations/s per backend, per workload:
+shots/s and BP-iterations/s per backend, per workload.  ``native``
+runs at the default thread budget of 1; a ``native_2_threads`` row
+repeats it with a 2-thread grant (capped at the usable CPUs), recording
+thread scaling without gating on it, since scaling depends on the host:
 
 * ``coprime_154_code_capacity`` — the paper's oscillation-heavy code
   under code capacity, decoded by plain min-sum BP.  This workload is
@@ -33,7 +36,11 @@ import numpy as np
 from repro.circuits import circuit_level_problem
 from repro.codes import get_code
 from repro.decoders import BPSFDecoder, MinSumBP
-from repro.decoders.kernels import available_backends
+from repro.decoders.kernels import (
+    available_backends,
+    usable_cpus,
+    use_threads,
+)
 from repro.noise import code_capacity_problem
 
 __all__ = ["BACKENDS", "kernel_backend_report"]
@@ -41,13 +48,6 @@ __all__ = ["BACKENDS", "kernel_backend_report"]
 # Every backend usable in this environment (probes optional backends
 # such as native at import, which may compile its C kernel).  "reference" is the comparison baseline.
 BACKENDS = available_backends()
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _time_decode(make_decoder, syndromes, repeats):
@@ -80,18 +80,22 @@ def _compare_backends(make_decoder, syndromes, repeats):
     """Per-backend timings + cross-backend parity for one decoder family."""
     entry = {}
     results = {}
-    for backend in BACKENDS:
+
+    def measure(row, backend):
         seconds, result = _time_decode(
             lambda: make_decoder(backend), syndromes, repeats
         )
         shots = syndromes.shape[0]
         iters = int(result.iterations.sum())
-        results[backend] = result
-        entry[backend] = {
+        results[row] = result
+        entry[row] = {
             "seconds": round(seconds, 4),
             "shots_per_second": round(shots / seconds, 2),
             "iters_per_second": round(iters / seconds, 1),
         }
+
+    for backend in BACKENDS:
+        measure(backend, backend)
     ref = results["reference"]
     entry["speedup"] = round(
         entry["reference"]["seconds"] / entry["fused"]["seconds"], 3
@@ -99,6 +103,13 @@ def _compare_backends(make_decoder, syndromes, repeats):
     if "native" in results:
         entry["native_vs_fused_speedup"] = round(
             entry["fused"]["seconds"] / entry["native"]["seconds"], 3
+        )
+        with use_threads(2) as granted:
+            measure("native_2_threads", "native")
+        entry["native_2_threads"]["threads"] = granted
+        entry["native_thread_scaling"] = round(
+            entry["native"]["seconds"]
+            / entry["native_2_threads"]["seconds"], 3
         )
     entry["bit_identical"] = all(
         np.array_equal(ref.errors, out.errors)
@@ -117,7 +128,7 @@ def kernel_backend_report(
 ) -> dict:
     """Measure every registered backend's throughput on the bench codes."""
     payload = {
-        "cores": _cores(),
+        "cores": usable_cpus(),
         "strict": os.environ.get("REPRO_BENCH_STRICT", "1") != "0",
         "backends": list(BACKENDS),
         "workloads": {},

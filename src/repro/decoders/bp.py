@@ -87,7 +87,10 @@ class MinSumBP(Decoder):
         Accumulate per-bit flip counters (needed by BP-SF).
     batch_size:
         Rows per internal chunk (at least 1; a memory knob).  Each
-        chunk decodes once with the full ``max_iter`` budget.
+        chunk decodes once with the full ``max_iter`` budget.  The
+        default of 256 decodes a typical engine shard as one chunk, so
+        a threaded kernel call has rows for every thread and the
+        chunk's hard tail is not paid once per small chunk.
     backend:
         Inner-loop kernel backend: ``"reference"``, ``"fused"``,
         ``"native"`` or ``"auto"``/``None`` (defer to an active
@@ -106,7 +109,7 @@ class MinSumBP(Decoder):
         clamp: float = 50.0,
         track_oscillations: bool = False,
         dtype: DTypeLike = np.float32,
-        batch_size: int = 32,
+        batch_size: int = 256,
         backend: str | None = None,
     ) -> None:
         if max_iter < 1:

@@ -10,9 +10,11 @@ delegate their inner loop to a :class:`BPKernel`:
   ``bitwise_xor.reduceat`` parity check;
 * ``"native"`` — :class:`~repro.decoders.kernels.native.NativeKernel`,
   a ``FusedKernel`` whose multi-iteration fusion API runs in a small C
-  kernel: single-threaded, GIL released during each call, compiled on
-  first use with ``$CC`` (default ``cc``) into ``$XDG_CACHE_HOME/repro``
-  (default ``~/.cache/repro``) and loaded through cffi.  *Optional*:
+  kernel: GIL released during each call, which may spread its rows over
+  up to :data:`THREAD_BUDGET` threads (started and joined inside the
+  call), compiled on first use with ``$CC`` (default ``cc``) into
+  ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) and loaded
+  through cffi.  *Optional*:
   registered by loader, so without cffi or a working compiler it is
   reported unavailable (``python -m repro backends`` shows the build
   error) and the default falls back to ``fused``;
@@ -21,10 +23,12 @@ delegate their inner loop to a :class:`BPKernel`:
   builds, else ``fused``).
 
 Every backend is bit-identical to the reference on every output,
-marginals included (``deterministic_sums = True``, enforced by
-``tests/decoders/test_kernel_parity.py``).  The knob exists for
-debugging, benchmarking (``benchmarks/test_kernel_backends.py``) and as
-the seam further GPU/SIMD kernels plug into.
+marginals included (enforced by ``tests/decoders/test_kernel_parity.py``),
+for any thread budget.  The budget defaults to 1; only the offline
+engine grants more (:func:`use_threads`), so the decode services stay
+single-threaded per call.  The knob exists for debugging, benchmarking
+(``benchmarks/test_kernel_backends.py``) and as the seam further
+GPU/SIMD kernels plug into.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.decoders.kernels.base import (
     BACKEND_ENV_VAR,
     KERNEL_BACKENDS,
     OPTIONAL_BACKENDS,
+    THREAD_BUDGET,
     BPKernel,
     available_backends,
     backend_availability,
@@ -40,7 +45,9 @@ from repro.decoders.kernels.base import (
     make_kernel,
     register_optional_backend,
     resolve_backend,
+    usable_cpus,
     use_backend,
+    use_threads,
 )
 from repro.decoders.kernels.fused import FusedKernel
 from repro.decoders.kernels.reference import ReferenceKernel
@@ -52,13 +59,16 @@ __all__ = [
     "KERNEL_BACKENDS",
     "OPTIONAL_BACKENDS",
     "ReferenceKernel",
+    "THREAD_BUDGET",
     "available_backends",
     "backend_availability",
     "default_backend",
     "make_kernel",
     "register_optional_backend",
     "resolve_backend",
+    "usable_cpus",
     "use_backend",
+    "use_threads",
 ]
 
 KERNEL_BACKENDS["reference"] = ReferenceKernel

@@ -29,6 +29,15 @@ variable, and finally :func:`default_backend` (``native`` whenever its
 C kernel builds, else ``fused``).  Explicit names
 (``"reference"``/``"fused"``/``"native"``) always win.
 
+Thread budget
+-------------
+:data:`THREAD_BUDGET` is how many threads one native BP call may use
+(default 1).  Only the offline engine (:mod:`repro.sim.engine`) grants
+more, through :func:`use_threads` on its serial path and in each pooled
+worker; the decode services never do, so their decode threads -- which
+start with a fresh context -- stay at 1.  Results never depend on the
+budget.
+
 Optional backends
 -----------------
 Backends with external dependencies (``native`` needs cffi and a C
@@ -46,6 +55,7 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -56,19 +66,26 @@ __all__ = [
     "BPKernel",
     "KERNEL_BACKENDS",
     "OPTIONAL_BACKENDS",
+    "THREAD_BUDGET",
     "available_backends",
     "backend_availability",
     "default_backend",
     "make_kernel",
     "register_optional_backend",
     "resolve_backend",
+    "usable_cpus",
     "use_backend",
+    "use_threads",
 ]
 
 #: Environment knob read by ``resolve_backend`` (bench config + CLI).
 BACKEND_ENV_VAR = "REPRO_BP_BACKEND"
 
 _BACKEND_OVERRIDE: list[str] = []
+
+#: Threads one native BP call may spread its rows over; read at every
+#: ``fused_run``.  See "Thread budget" above.
+THREAD_BUDGET: ContextVar[int] = ContextVar("repro_bp_threads", default=1)
 
 
 class BPKernel(ABC):
@@ -86,16 +103,11 @@ class BPKernel(ABC):
     Determinism contract: every output (``hard_decision``,
     ``converged``, the syndrome context and the LLR columns) must be
     *bit-identical* across backends, so float sums must follow the
-    reference's reduction order exactly; a backend states that by
-    declaring :attr:`deterministic_sums` ``True``.
+    reference's reduction order exactly.
     """
 
     #: Registry name of the backend ("reference", "fused", ...).
     name: str = ""
-
-    #: Whether order-sensitive float sums reproduce the reference's
-    #: reduction order bit for bit (see the determinism contract above).
-    deterministic_sums: bool = True
 
     #: Whether the backend implements the multi-iteration fusion API
     #: (``fused_start``/``fused_run``/``fused_compact`` + the
@@ -236,6 +248,29 @@ def use_backend(backend: str) -> Iterator[str]:
         yield resolved
     finally:
         _BACKEND_OVERRIDE.pop()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def use_threads(n: int) -> Iterator[int]:
+    """Grant BP calls in this context up to ``n`` threads each.
+
+    The grant is capped at :func:`usable_cpus` and never below 1.  It
+    is scoped to the current context: threads started inside the block
+    begin at the default of 1.
+    """
+    granted = max(1, min(int(n), usable_cpus()))
+    token = THREAD_BUDGET.set(granted)
+    try:
+        yield granted
+    finally:
+        THREAD_BUDGET.reset(token)
 
 
 def make_kernel(

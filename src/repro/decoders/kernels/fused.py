@@ -116,12 +116,13 @@ class _Workspace:
 
 
 class FusedKernel(BPKernel):
-    """Workspace-reusing min-sum kernel with edge-domain parity checks."""
+    """Workspace-reusing min-sum kernel with edge-domain parity checks.
+
+    Float sums deliberately stay on ``add.reduceat``, matching the
+    reference's reduction order bit for bit.
+    """
 
     name = "fused"
-    # Float sums deliberately stay on add.reduceat, matching the
-    # reference's reduction order bit for bit (contract REP102).
-    deterministic_sums = True
 
     def __init__(self, edges, check_matrix, *, clamp, dtype):
         super().__init__(edges, check_matrix, clamp=clamp, dtype=dtype)

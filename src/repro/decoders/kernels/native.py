@@ -10,14 +10,15 @@ group, first success wins -- at the iteration it converged.  The
 generic per-step protocol (Mem-BP and sum-product hooks, dtypes other
 than float32/float64) stays the inherited numpy code.
 
-Results are bit-identical to ``fused``, marginals included
-(``deterministic_sums = True``): the C code keeps the working dtype,
-and its per-variable sums follow numpy's ``add.reduceat`` order
-(first element, then numpy's pairwise sum of the rest).
-``tests/decoders/test_native_kernel.py`` pins that order against numpy.
+Results are bit-identical to ``fused``, marginals included: the C
+code keeps the working dtype, and its per-variable sums follow numpy's
+``add.reduceat`` order (first element, then numpy's pairwise sum of the
+rest).  ``tests/decoders/test_native_kernel.py`` pins that order
+against numpy.
 
 Build and load.  ``native_kernel.c`` is compiled on first use with
-``$CC`` (default ``cc``) and ``-O2 -fPIC -shared -ffp-contract=off``,
+``$CC`` (default ``cc``) and ``-O2 -fPIC -shared -ffp-contract=off
+-pthread``,
 then opened through cffi's ABI mode (``ffi.dlopen``); no Python
 headers are needed.  The shared object is cached in
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``, or the system
@@ -29,8 +30,19 @@ error -- is memoised once per process; without cffi or a working
 compiler the backend reports itself unavailable and the default falls
 back to ``fused``.
 
-The kernel is single-threaded and starts no threads or processes; cffi
-releases the GIL for the duration of each C call.
+Threads.  cffi releases the GIL for the duration of each C call, and
+one ``fused_run`` call may spread its live rows over up to
+:data:`~repro.decoders.kernels.THREAD_BUDGET` POSIX threads, read at
+every call.  The threads start inside the C call and are joined before
+it returns, so none outlives it (and none is alive when a worker
+process forks); a thread that fails to start only leaves its share to
+the others.  On Linux a new thread starts on a CPU other than the
+caller's (otherwise it waits for the load balancer on the caller's
+CPU).  Small calls stay on the calling thread.  Each thread has
+its own scratch row, and every row's arithmetic is the same on any
+thread, so results are bit-identical for any budget.  The budget
+defaults to 1 and only the offline engine raises it: see
+:func:`~repro.decoders.kernels.use_threads`.
 """
 
 from __future__ import annotations
@@ -49,13 +61,14 @@ from typing import Any
 
 import numpy as np
 
+from repro.decoders.kernels.base import THREAD_BUDGET, usable_cpus
 from repro.decoders.kernels.fused import FusedKernel
 from repro.decoders.tanner import TannerEdges
 
 __all__ = ["NativeKernel", "load_library"]
 
 _SOURCE = Path(__file__).with_name("native_kernel.c")
-_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 #: dtypes the C entry points are compiled for (``bp_run_f32``/``_f64``).
 _C_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -130,7 +143,7 @@ def load_library() -> Any:
             lib = ffi.dlopen(str(_build()))
             NativeKernel.runtime_version = (
                 f"C, {ffi.string(lib.bp_compiler()).decode()}, "
-                f"single-threaded"
+                f"up to {usable_cpus()} threads"
             )
             _LIBRARY = (ffi, lib)
         except (ImportError, OSError, subprocess.SubprocessError) as exc:
@@ -186,18 +199,19 @@ class _State:
 
     Pointers are bound once per allocation; ``fused_start`` only
     switches the per-chunk fields (prior, flips, groups) between them
-    and ``NULL``.
+    and ``NULL``.  ``scratch`` has one row per thread.
     """
 
     def __init__(
         self, ffi: Any, edges: TannerEdges, cap: int, dtype: np.dtype,
-        n_alphas: int,
+        n_alphas: int, threads: int,
     ) -> None:
         e, n, c = edges.n_edges, edges.n_vars, edges.check_ids.size
         self.cap = cap
+        self.threads = threads
         self.v2c = np.empty((cap, e), dtype)
         self.marg = np.empty((cap, n), dtype)
-        self.scratch = np.empty(e, dtype)
+        self.scratch = np.empty((threads, e), dtype)
         self.alphas = np.empty(n_alphas, dtype)
         self.prior = np.empty((cap, n), dtype)
         self.hard = np.empty((cap, n), np.uint8)
@@ -225,10 +239,8 @@ class NativeKernel(FusedKernel):
     """FusedKernel whose multi-iteration fusion API runs in C."""
 
     name = "native"
-    # The C sums reproduce add.reduceat's order bit for bit (REP102).
-    deterministic_sums = True
     supports_iteration_fusion = True
-    runtime_version = "C, single-threaded (not built yet)"
+    runtime_version = "C (not built yet)"
 
     def __init__(self, edges, check_matrix, *, clamp, dtype):
         super().__init__(edges, check_matrix, clamp=clamp, dtype=dtype)
@@ -264,10 +276,15 @@ class NativeKernel(FusedKernel):
             if self._graph is None:
                 self._graph = _GRAPHS[edges] = _Graph(ffi, edges)
         st = self._state
-        if st is None or m > st.cap or len(alphas) > st.alphas.size:
-            cap, n_alphas = (st.cap, st.alphas.size) if st else (0, 0)
+        threads = THREAD_BUDGET.get()
+        if (st is None or m > st.cap or len(alphas) > st.alphas.size
+                or threads > st.threads):
+            cap, n_alphas, n_threads = (
+                (st.cap, st.alphas.size, st.threads) if st else (0, 0, 1)
+            )
             st = self._state = _State(
-                ffi, edges, max(m, cap), self.dtype, max(len(alphas), n_alphas)
+                ffi, edges, max(m, cap), self.dtype,
+                max(len(alphas), n_alphas), max(threads, n_threads),
             )
         c = st.c
 
@@ -306,13 +323,16 @@ class NativeKernel(FusedKernel):
 
         Returns ``(conv, frozen, stop_rel)`` views, valid until the next
         kernel call: per-row convergence, whether the row's group
-        stopped, and the iterations each row ran in this call.
+        stopped, and the iterations each row ran in this call.  The
+        call may use up to :data:`THREAD_BUDGET` threads (as many as
+        the workspace has scratch rows).
         """
         m = self._m
         st = self._state
         _, lib = load_library()
         run = lib.bp_run_f32 if self.dtype == np.float32 else lib.bp_run_f64
-        run(self._graph.c, st.c, m, it0, n_iter, self.clamp)
+        threads = min(THREAD_BUDGET.get(), st.threads)
+        run(self._graph.c, st.c, m, it0, n_iter, self.clamp, threads)
         return st.conv[:m], st.frozen[:m], st.stop_rel[:m]
 
     @property

@@ -1,10 +1,19 @@
 /* Fused min-sum BP iterations over a CSR Tanner graph (``native`` backend).
  *
- * Single-threaded C port of the multi-iteration fusion API driven by
+ * C port of the multi-iteration fusion API driven by
  * repro.decoders.bp.MinSumBP._decode_chunk_fused.  Built by
  * repro/decoders/kernels/native.py with
- *     cc -O2 -fPIC -shared -ffp-contract=off
+ *     cc -O2 -fPIC -shared -ffp-contract=off -pthread
  * (no -ffast-math, no -march=native) and loaded through cffi's ABI mode.
+ *
+ * One bp_run call may spread its live rows over up to ``threads`` POSIX
+ * threads, started inside the call and joined before it returns (no
+ * pool, no barrier).  A call that runs one iteration hands out single
+ * rows -- rows of one stop group are independent within an iteration,
+ * and the group freeze is resolved after the join; a longer call hands
+ * out whole stop groups, so a group's freeze stays on one thread.
+ * Units are claimed through an atomic cursor.  Each row's arithmetic is
+ * the same on any thread, so results never depend on the thread count.
  *
  * Every float result is bit-identical to the numpy ``fused`` kernel:
  * arithmetic stays in the working dtype, min/max/xor are exact in any
@@ -12,7 +21,13 @@
  * of check messages -- reproduces numpy's ``add.reduceat`` exactly:
  * s = a0 + pairwise(a1 .. a_{n-1}), with numpy's pairwise summation.
  */
+#ifdef __linux__
+#define _GNU_SOURCE          /* sched_getcpu, pthread_attr_setaffinity_np */
+#include <sched.h>
+#endif
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -34,7 +49,8 @@ typedef struct {
 typedef struct {
     void *v2c;               /* cap x n_edges, check-sorted              */
     void *marg;              /* cap x n_vars                             */
-    void *scratch;           /* n_edges: var-sorted c2v of one row       */
+    void *scratch;           /* threads x n_edges: var-sorted c2v of one */
+                             /* row, one slice per thread                */
     void *alphas;            /* alphas[i]: damping of iteration i + 1    */
     const void *prior;       /* 1 x n_vars (shared) or cap x n_vars      */
     int64_t prior_stride;    /* 0 (shared) or n_vars                     */
@@ -52,9 +68,9 @@ const char *bp_compiler(void);
 void bp_compact(const bp_graph *g, const bp_state *s, int64_t m,
                 const uint8_t *keep, int64_t float_bytes);
 void bp_run_f32(const bp_graph *g, const bp_state *s, int64_t m,
-                int64_t it0, int64_t n_iter, double clamp);
+                int64_t it0, int64_t n_iter, double clamp, int64_t threads);
 void bp_run_f64(const bp_graph *g, const bp_state *s, int64_t m,
-                int64_t it0, int64_t n_iter, double clamp);
+                int64_t it0, int64_t n_iter, double clamp, int64_t threads);
 void bp_segment_sums_f32(const float *a, const int64_t *ptr,
                          int64_t n_seg, float *out);
 void bp_segment_sums_f64(const double *a, const int64_t *ptr,
@@ -101,6 +117,119 @@ void bp_compact(const bp_graph *g, const bp_state *s, int64_t m,
         compact_rows(s->flips, g->n_vars * 4, m, keep);
     if (s->groups)
         compact_rows(s->groups, 8, m, keep);
+}
+
+/* A call below this many edge-iterations (rows x n_edges x n_iter) stays
+ * on the calling thread: starting and joining a thread (~0.1 ms) costs
+ * more than it saves.  Coprime-154's one-iteration calls of a few dozen
+ * rows (~15k) stay serial.  A constant, not a tuning knob. */
+#define MIN_THREADED_WORK 50000
+
+/* One bp_run call: the work queue its threads share. */
+typedef struct {
+    const bp_graph *g;
+    const bp_state *s;
+    int64_t m, it0, n_iter;
+    double clamp;
+    int per_row;             /* units are rows (else stop groups)        */
+    _Atomic int64_t next;    /* first unclaimed row                      */
+} bp_job;
+
+/* Claim the next unit: one row, or the whole stop group starting at the
+ * cursor.  Returns 0 when the queue is empty. */
+static int claim(bp_job *j, int64_t *lo, int64_t *hi)
+{
+    const int64_t *groups = j->per_row ? NULL : j->s->groups;
+    int64_t a = atomic_load(&j->next);
+    for (;;) {
+        if (a >= j->m)
+            return 0;
+        int64_t b = a + 1;
+        if (groups)
+            while (b < j->m && groups[b] == groups[a])
+                b++;
+        if (atomic_compare_exchange_weak(&j->next, &a, b)) {
+            *lo = a;
+            *hi = b;
+            return 1;
+        }
+    }
+}
+
+typedef struct {
+    bp_job *job;
+    int64_t slot;            /* this thread's scratch row                */
+} bp_worker;
+
+/* Thread attributes that start a thread on another CPU than the
+ * caller's.  Linux places a new thread on its creator's CPU, where it
+ * waits for the load balancer (1-2 ms on a small VM) while the creator
+ * computes; started elsewhere it runs within ~0.1 ms.  Returns NULL (the
+ * default attributes) when there is no other CPU or no way to ask. */
+static pthread_attr_t *away_from_caller(pthread_attr_t *attr)
+{
+#ifdef __linux__
+    cpu_set_t set;
+    int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof set, &set) != 0)
+        return NULL;
+    CPU_CLR(cpu, &set);
+    if (CPU_COUNT(&set) == 0 || pthread_attr_init(attr) != 0)
+        return NULL;
+    if (pthread_attr_setaffinity_np(attr, sizeof set, &set) == 0)
+        return attr;
+    pthread_attr_destroy(attr);
+#else
+    (void)attr;
+#endif
+    return NULL;
+}
+
+/* Run iterations it0+1 .. it0+n_iter over every live row on up to
+ * ``threads`` threads (the caller's included); ``work`` drains the
+ * job's queue.  Stop groups freeze at their first success; singleton
+ * groups when s->groups is NULL.  If a thread cannot be started, the
+ * threads that did start take its share. */
+static void run_job(bp_job *j, void *(*work)(void *), int64_t threads)
+{
+    const bp_state *s = j->s;
+    int64_t m = j->m;
+    if (threads > m)
+        threads = m;
+    if (m * j->g->n_edges * j->n_iter < MIN_THREADED_WORK || threads < 1)
+        threads = 1;
+    bp_worker workers[threads];
+    pthread_t tids[threads];
+    pthread_attr_t attr_buf, *attr = NULL;
+    int64_t started = 0;
+    for (int64_t t = 0; t < threads; t++)
+        workers[t] = (bp_worker){j, t};
+    if (threads > 1)
+        attr = away_from_caller(&attr_buf);
+    for (int64_t t = 1; t < threads; t++) {
+        if (pthread_create(&tids[started], attr, work, &workers[t]) != 0)
+            break;
+        started++;
+    }
+    if (attr)
+        pthread_attr_destroy(attr);
+    work(&workers[0]);
+    for (int64_t t = 0; t < started; t++)
+        pthread_join(tids[t], NULL);
+    if (j->per_row && s->groups) {
+        /* One iteration ran on every row: a group stops when any of its
+         * rows converged. */
+        int64_t lo = 0;
+        while (lo < m) {
+            int64_t hi = lo + 1;
+            uint8_t stopped = s->conv[lo];
+            while (hi < m && s->groups[hi] == s->groups[lo])
+                stopped |= s->conv[hi++];
+            for (int64_t r = lo; r < hi; r++)
+                s->frozen[r] = stopped;
+            lo = hi;
+        }
+    }
 }
 
 /* Edge-domain parity check H @ hard == synd (mod 2) for one row. */
@@ -217,49 +346,62 @@ static void iterate_row_##SUFFIX(const bp_graph *g, T *v2c, T *cv,         \
     }                                                                        \
 }                                                                            \
                                                                              \
-/* Run iterations it0+1 .. it0+n_iter over every live row, group by      */ \
-/* group.  The moment any row of a stop group converges the whole group */  \
-/* freezes at that iteration (first success wins); singleton groups     */  \
-/* when s->groups is NULL.                                              */  \
-void bp_run_##SUFFIX(const bp_graph *g, const bp_state *s, int64_t m,       \
-                     int64_t it0, int64_t n_iter, double clamp_d)            \
+/* Run iterations it0+1 .. it0+n_iter over rows [lo, hi) of one unit.  */ \
+/* The moment any row of the unit converges the unit freezes at that    */  \
+/* iteration (first success wins).                                      */  \
+static void run_unit_##SUFFIX(const bp_job *j, int64_t lo, int64_t hi,     \
+                              T *scratch)                                    \
 {                                                                            \
-    const T clamp = (T)clamp_d;                                              \
+    const bp_graph *g = j->g;                                                \
+    const bp_state *s = j->s;                                                \
+    const T clamp = (T)j->clamp;                                             \
     const T *alphas = (const T *)s->alphas;                                  \
-    int64_t lo = 0;                                                          \
-    while (lo < m) {                                                         \
-        int64_t hi = lo + 1;                                                 \
-        if (s->groups)                                                       \
-            while (hi < m && s->groups[hi] == s->groups[lo])                 \
-                hi++;                                                        \
-        int64_t ran = 0;                                                     \
-        uint8_t stopped = 0;                                                 \
-        for (int64_t r = lo; r < hi; r++)                                    \
-            s->conv[r] = 0;                                                  \
-        for (int64_t k = 0; k < n_iter && !stopped; k++) {                   \
-            int64_t it = it0 + k;  /* 0-based iteration index */             \
-            for (int64_t r = lo; r < hi; r++) {                              \
-                uint8_t *hard = s->hard + r * g->n_vars;                     \
-                const uint8_t *synd = s->synd + r * g->n_checks;             \
-                iterate_row_##SUFFIX(                                        \
-                    g, (T *)s->v2c + r * g->n_edges, (T *)s->scratch,        \
-                    (T *)s->marg + r * g->n_vars,                            \
-                    (const T *)s->prior + r * s->prior_stride, hard,         \
-                    (s->flips && it > 0) ? s->flips + r * g->n_vars : NULL,  \
-                    synd, alphas[it], clamp);                                \
-                if (s->feasible[r] && syndrome_ok(g, hard, synd)) {          \
-                    s->conv[r] = 1;                                          \
-                    stopped = 1;                                             \
-                }                                                            \
-            }                                                                \
-            ran = k + 1;                                                     \
-        }                                                                    \
+    int64_t ran = 0;                                                         \
+    uint8_t stopped = 0;                                                     \
+    for (int64_t r = lo; r < hi; r++)                                        \
+        s->conv[r] = 0;                                                      \
+    for (int64_t k = 0; k < j->n_iter && !stopped; k++) {                    \
+        int64_t it = j->it0 + k;  /* 0-based iteration index */              \
         for (int64_t r = lo; r < hi; r++) {                                  \
-            s->stop_rel[r] = ran;                                            \
-            s->frozen[r] = stopped;                                          \
+            uint8_t *hard = s->hard + r * g->n_vars;                         \
+            const uint8_t *synd = s->synd + r * g->n_checks;                 \
+            iterate_row_##SUFFIX(                                            \
+                g, (T *)s->v2c + r * g->n_edges, scratch,                    \
+                (T *)s->marg + r * g->n_vars,                                \
+                (const T *)s->prior + r * s->prior_stride, hard,             \
+                (s->flips && it > 0) ? s->flips + r * g->n_vars : NULL,      \
+                synd, alphas[it], clamp);                                    \
+            if (s->feasible[r] && syndrome_ok(g, hard, synd)) {              \
+                s->conv[r] = 1;                                              \
+                stopped = 1;                                                 \
+            }                                                                \
         }                                                                    \
-        lo = hi;                                                             \
+        ran = k + 1;                                                         \
     }                                                                        \
+    for (int64_t r = lo; r < hi; r++) {                                      \
+        s->stop_rel[r] = ran;                                                \
+        s->frozen[r] = stopped;                                              \
+    }                                                                        \
+}                                                                            \
+                                                                             \
+/* Thread body: run units until the job's queue is empty.              */  \
+static void *work_##SUFFIX(void *arg)                                        \
+{                                                                            \
+    bp_worker *w = (bp_worker *)arg;                                         \
+    bp_job *j = w->job;                                                      \
+    T *scratch = (T *)j->s->scratch + w->slot * j->g->n_edges;               \
+    int64_t lo, hi;                                                          \
+    while (claim(j, &lo, &hi))                                               \
+        run_unit_##SUFFIX(j, lo, hi, scratch);                               \
+    return NULL;                                                             \
+}                                                                            \
+                                                                             \
+void bp_run_##SUFFIX(const bp_graph *g, const bp_state *s, int64_t m,       \
+                     int64_t it0, int64_t n_iter, double clamp,              \
+                     int64_t threads)                                        \
+{                                                                            \
+    bp_job j = {g, s, m, it0, n_iter, clamp, n_iter == 1, 0};                \
+    run_job(&j, work_##SUFFIX, threads);                                     \
 }
 
 DEFINE_KERNEL(float, f32, fabsf)

@@ -20,11 +20,13 @@ __all__ = ["ReferenceKernel"]
 
 
 class ReferenceKernel(BPKernel):
-    """Allocating reduceat kernel + sparse-matmul parity check."""
+    """Allocating reduceat kernel + sparse-matmul parity check.
+
+    Its float sums define the reduction order every other backend
+    reproduces bit for bit.
+    """
 
     name = "reference"
-    # The reference *defines* the reduction order others reproduce.
-    deterministic_sums = True
 
     def __init__(self, edges, check_matrix, *, clamp, dtype):
         super().__init__(edges, check_matrix, clamp=clamp, dtype=dtype)

@@ -18,9 +18,9 @@ of *repo contracts* that no unit test can watch globally:
 * **Python hygiene** — mutable default arguments and bare ``except:``
   in ``src/repro`` (``REP004``).
 * **Registry protocol conformance** — every ``DECODER_REGISTRY`` and
-  ``KERNEL_BACKENDS`` entry implements its full protocol, declares its
-  determinism tier, and round-trips ``pickle`` (the engine-worker
-  contract; ``REP101``–``REP105``).
+  ``KERNEL_BACKENDS`` entry implements its full protocol and
+  round-trips ``pickle`` (the engine-worker contract; ``REP101`` and
+  ``REP103``–``REP105``).
 
 Three entry points:
 

@@ -10,10 +10,6 @@ assumes but cannot test locally:
   / ``hard_decision`` / ``converged`` / ``compact`` plus the
   ``sign_syn`` property, and a backend claiming
   ``supports_iteration_fusion`` really ships the fusion API.
-* **Determinism declaration** (``REP102``) — every kernel backend
-  *explicitly* declares its ``deterministic_sums`` tier (a bool in the
-  class body, not a silent inherit), so a new backend states on purpose
-  that its float sums follow the reference's reduction order.
 * **Picklability** (``REP103``) — decoder factories, built decoder
   instances and kernel instances round-trip ``pickle``: the
   engine-worker contract that lets sharded runs ship decoder specs to
@@ -178,16 +174,6 @@ def check_decoder_contracts(problem=None) -> Iterator[LintViolation]:
             )
 
 
-def _declares(cls: type, attribute: str, base: type) -> bool:
-    """Whether ``cls`` declares ``attribute`` below ``base`` in its MRO."""
-    for klass in cls.__mro__:
-        if klass is base:
-            return False
-        if attribute in vars(klass):
-            return True
-    return False
-
-
 def check_kernel_contracts(problem=None) -> Iterator[LintViolation]:
     """Contract-check every *available* ``KERNEL_BACKENDS`` entry.
 
@@ -200,7 +186,6 @@ def check_kernel_contracts(problem=None) -> Iterator[LintViolation]:
         available_backends,
         make_kernel,
     )
-    from repro.decoders.kernels.base import BPKernel
     from repro.decoders.tanner import shared_tanner_edges
 
     problem = problem if problem is not None else _tiny_problem()
@@ -215,15 +200,6 @@ def check_kernel_contracts(problem=None) -> Iterator[LintViolation]:
                 f"kernel backend registered as {name!r} declares "
                 f"name={declared!r}; registry key and class name must "
                 f"agree",
-            )
-        if not _declares(cls, "deterministic_sums", BPKernel) or not \
-                isinstance(cls.deterministic_sums, bool):
-            yield _violation(
-                cls,
-                "REP102",
-                f"kernel backend {name!r} must explicitly declare its "
-                f"deterministic_sums tier (bool) in the class body; "
-                f"its float sums must follow the reference's order",
             )
         abstract = getattr(cls, "__abstractmethods__", frozenset())
         for method in KERNEL_PROTOCOL:

@@ -81,6 +81,16 @@ Workers need to build the decoder, so ``decoder`` may be
 
 :func:`repro.sim.monte_carlo.run_ler` is the ``n_workers = 1`` case of
 this engine and shares every code path but the pool.
+
+Threads inside BP calls
+-----------------------
+The engine is the one caller that grants the native BP kernel more
+than one thread per call (:data:`repro.decoders.kernels.THREAD_BUDGET`):
+the serial path decodes with a budget of every usable CPU, and each
+pooled worker with ``max(1, cpus // n_workers)``, so workers never
+oversubscribe the host.  Kernel threads live only inside one C call, so
+none is alive when the pool forks a worker or between shards.  Results
+do not depend on the budget.
 """
 
 from __future__ import annotations
@@ -94,6 +104,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.decoders.base import Decoder
+from repro.decoders.kernels import THREAD_BUDGET, usable_cpus, use_threads
 from repro.problem import DecodingProblem
 from repro.sim.monte_carlo import MonteCarloResult
 from repro.sim.pool import (
@@ -219,18 +230,21 @@ _WORKER_CACHE: dict = {}
 _WORKER_CHAOS = None
 
 
-def _init_worker(points: dict) -> None:
+def _init_worker(points: dict, n_workers: int) -> None:
     """Executor initializer: stash every point's (problem, spec) pair.
 
-    Also arms the fault-injection hook when ``REPRO_CHAOS`` names a
-    schedule file (see :mod:`repro.devtools.chaos`) — the import is
-    lazy and the hook is ``None`` in production runs, so the chaos
-    machinery costs nothing unless explicitly requested.
+    Grants this worker's BP calls its share of the host,
+    ``max(1, cpus // n_workers)`` threads.  Also arms the
+    fault-injection hook when ``REPRO_CHAOS`` names a schedule file
+    (see :mod:`repro.devtools.chaos`) — the import is lazy and the hook
+    is ``None`` in production runs, so the chaos machinery costs
+    nothing unless explicitly requested.
     """
     global _WORKER_POINTS, _WORKER_CACHE, _WORKER_CHAOS
     _WORKER_POINTS = points
     _WORKER_CACHE = {}
     _WORKER_CHAOS = None
+    THREAD_BUDGET.set(max(1, usable_cpus() // n_workers))
     if os.environ.get("REPRO_CHAOS"):
         from repro.devtools.chaos import injector_from_env
 
@@ -883,15 +897,16 @@ def run_point_tasks(
             return on_shard
 
         for task in active:
-            result = _run_task_serial(
-                task,
-                sizes_by_key[task.label],
-                roots_by_key[task.label],
-                batch_by_key[task.label],
-                on_shard=_serial_progress(task.label),
-                on_checkpoint=on_checkpoint,
-                checkpoint_every=checkpoint_every,
-            )
+            with use_threads(usable_cpus()):
+                result = _run_task_serial(
+                    task,
+                    sizes_by_key[task.label],
+                    roots_by_key[task.label],
+                    batch_by_key[task.label],
+                    on_shard=_serial_progress(task.label),
+                    on_checkpoint=on_checkpoint,
+                    checkpoint_every=checkpoint_every,
+                )
             if on_result is not None:
                 on_result(task.label, result)
             out[task.label] = result
@@ -904,7 +919,7 @@ def run_point_tasks(
         n_workers,
         mp_context=_mp_context(mp_context),
         initializer=_init_worker,
-        initargs=(payload,),
+        initargs=(payload, n_workers),
         max_restarts=max_worker_restarts,
     )
     if on_pool is not None:

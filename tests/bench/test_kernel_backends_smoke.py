@@ -29,6 +29,8 @@ def test_report_shape_and_parity():
             assert entry["speedup"] > 0
             if "native" in report["backends"]:
                 assert entry["native_vs_fused_speedup"] > 0
+                assert entry["native_2_threads"]["seconds"] > 0
+                assert entry["native_thread_scaling"] > 0
             for backend in BACKENDS:
                 assert entry[backend]["seconds"] > 0
                 assert entry[backend]["shots_per_second"] > 0

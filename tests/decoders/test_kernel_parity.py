@@ -1,8 +1,8 @@
 """Cross-backend parity: every registered kernel must equal the reference.
 
-Every backend reproduces the reference's reduction order
-(``deterministic_sums = True``), so each must match it bit-exactly on
-every output array, marginals included.  ``BACKENDS`` is discovered at
+Every backend reproduces the reference's reduction order, so each must
+match it bit-exactly on every output array, marginals included, at any
+thread budget.  ``BACKENDS`` is discovered at
 import time via ``available_backends()``: ``reference``, ``fused`` and,
 wherever its C kernel builds, ``native``.  The suite sweeps the
 contract over
@@ -14,6 +14,7 @@ contract over
 * float32 and float64, adaptive and constant damping,
 * per-shot prior overrides,
 * ``stop_groups`` first-success semantics,
+* thread budgets 1, 2 and 3 (3 exceeds a 2-core host),
 * the Mem-BP and sum-product subclasses (whose ``_iteration_prior`` /
   ``_check_update`` hooks must survive the seam),
 * multi-chunk batches with long trajectories and workspace reuse
@@ -34,6 +35,7 @@ from repro.codes import get_code
 from repro.decoders import MinSumBP, get_decoder, make_decoder_factory
 from repro.decoders.kernels import (
     OPTIONAL_BACKENDS,
+    THREAD_BUDGET,
     available_backends,
     resolve_backend,
     use_backend,
@@ -203,6 +205,23 @@ class TestRealCode:
             MinSumBP, coprime_problem, coprime_syndromes, max_iter=40,
             decode_kwargs={"stop_groups": groups},
         ))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_thread_budget_never_changes_results(
+        self, coprime_problem, coprime_syndromes, threads
+    ):
+        batch = coprime_syndromes.shape[0]
+        groups = np.repeat(np.arange(batch // 32), 32)
+        token = THREAD_BUDGET.set(threads)
+        try:
+            results = decode_all(
+                MinSumBP, coprime_problem, coprime_syndromes, max_iter=40,
+                track_oscillations=True,
+                decode_kwargs={"stop_groups": groups},
+            )
+        finally:
+            THREAD_BUDGET.reset(token)
+        assert_all_identical(results)
 
     def test_memory_bp_subclass(self, coprime_problem, coprime_syndromes):
         assert_all_identical(decode_all(

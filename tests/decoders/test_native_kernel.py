@@ -8,27 +8,43 @@ the C kernel builds).  This module pins what that suite cannot see:
   numpy change to that order fails here by name, not as a parity diff;
 * the fused multi-iteration driver (routing, mid-chunk compaction,
   span independence, pickling, worker processes);
+* threads inside one C call: results equal ``fused`` at any thread
+  budget on both benchmark graphs, no thread outlives a call, only the
+  offline engine grants a budget above 1, and a forked worker decodes
+  correctly after its parent ran threaded calls;
 * a missing compiler degrades to ``fused``, and a cold build cache
   survives two processes racing on it.
 """
 
+import asyncio
+import contextvars
 import json
 import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import repro.decoders.bp as bp_mod
+from repro.circuits import circuit_level_problem
 from repro.codes import get_code
 from repro.decoders import BPSFDecoder, MinSumBP
-from repro.decoders.kernels import available_backends
+from repro.decoders.kernels import (
+    THREAD_BUDGET,
+    available_backends,
+    usable_cpus,
+    use_threads,
+)
 from repro.decoders.membp import MemoryMinSumBP
 from repro.decoders.sum_product import SumProductBP
 from repro.noise import code_capacity_problem
+from repro.service import DecodeService, ServiceConfig
+from repro.service.net import NetClient, NetDecodeServer
 from repro.sim import run_ler_parallel
+from repro.sim.engine import _init_worker
 from tests.decoders.test_kernel_parity import (
     assert_identical,
     problem_from_matrix,
@@ -191,6 +207,232 @@ class TestFusedDriver:
             assert np.array_equal(
                 other.parallel_iterations, serial.parallel_iterations
             )
+
+
+# -- threads inside one C call -------------------------------------------
+
+
+def _with_budget(threads, fn, *args, **kwargs):
+    """Run ``fn`` with :data:`THREAD_BUDGET` set to ``threads``.
+
+    Sets the variable directly, so a budget above the host's CPUs (which
+    :func:`use_threads` would cap) reaches the kernel and forces more
+    threads than cores.
+    """
+    token = THREAD_BUDGET.set(threads)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        THREAD_BUDGET.reset(token)
+
+
+@pytest.fixture(scope="module")
+def bench_problems():
+    """The two benchmark graphs: BB-144 circuit DEM, coprime-154 capacity."""
+    return {
+        "bb144": circuit_level_problem("bb_144_12_12", 3e-3, rounds=2),
+        "coprime154": code_capacity_problem(
+            get_code("coprime_154_6_16"), 0.08
+        ),
+    }
+
+
+@pytest.fixture
+def budgets_seen(monkeypatch):
+    """Thread budget in force at every native ``fused_run`` call."""
+    from repro.decoders.kernels.native import NativeKernel
+
+    seen = []
+    original = NativeKernel.fused_run
+
+    def spy(self, it0, n_iter):
+        seen.append(THREAD_BUDGET.get())
+        return original(self, it0, n_iter)
+
+    monkeypatch.setattr(NativeKernel, "fused_run", spy)
+    return seen
+
+
+class _BudgetProbe(MinSumBP):
+    """MinSumBP that appends each decode's thread budget to a file."""
+
+    log = ""
+
+    def decode_many(self, syndromes, **kwargs):
+        with open(self.log, "a") as fh:
+            fh.write(f"{THREAD_BUDGET.get()}\n")
+        return super().decode_many(syndromes, **kwargs)
+
+
+def _task_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+@needs_native
+class TestThreads:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("graph", ["bb144", "coprime154"])
+    def test_any_budget_matches_fused(self, bench_problems, graph, dtype):
+        problem = bench_problems[graph]
+        rows = 128
+        synd = syndromes_for(problem, rows, 23)
+        n = problem.n_mechanisms
+        prior = np.abs(
+            np.random.default_rng(4).normal(3.0, 1.0, size=(rows, n))
+        ).astype(dtype)
+        # One 30-row group (a BP-SF trial pool), then mixed group sizes
+        # and singletons.
+        sizes = [30, 1, 7, 2, 16, 1, 1, 30, 4, 11, 9, 3, 13]
+        assert sum(sizes) == rows
+        groups = np.repeat(np.arange(len(sizes)), sizes)
+        cases = [
+            ({"damping": "adaptive"}, {"stop_groups": groups}),
+            ({"damping": 0.75}, {"prior_llr": prior}),
+            ({"damping": 0.625}, {"prior_llr": prior,
+                                   "stop_groups": groups}),
+            ({"damping": "adaptive"}, {}),
+        ]
+        for kwargs, decode_kwargs in cases:
+            def decode(backend):
+                return MinSumBP(
+                    problem, backend=backend, max_iter=40, dtype=dtype,
+                    track_oscillations=True, **kwargs,
+                ).decode_many(synd, **decode_kwargs)
+
+            want = decode("fused")
+            for threads in (1, 2, 3):
+                got = _with_budget(threads, decode, "native")
+                assert_identical(want, got)
+                assert got.flip_counts is not None
+
+    def test_workspace_has_a_scratch_row_per_thread(self, bench_problems):
+        problem = bench_problems["coprime154"]
+        decoder = MinSumBP(problem, backend="native", max_iter=10)
+        synd = syndromes_for(problem, 64, 3)
+        decoder.decode_many(synd)
+        assert decoder._kernel._state.scratch.shape[0] == 1
+        _with_budget(3, decoder.decode_many, synd)
+        assert decoder._kernel._state.scratch.shape[0] == 3
+        # A smaller budget later reuses the workspace.
+        state = decoder._kernel._state
+        _with_budget(2, decoder.decode_many, synd)
+        assert decoder._kernel._state is state
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs /proc"
+    )
+    def test_no_thread_outlives_a_call(self, bench_problems):
+        problem = bench_problems["bb144"]
+        decoder = MinSumBP(problem, backend="native", max_iter=30)
+        synd = syndromes_for(problem, 128, 5)
+        before = _task_count()
+        _with_budget(3, decoder.decode_many, synd)
+        assert _task_count() == before
+
+    def test_budget_is_one_outside_the_engine(
+        self, small_problem, budgets_seen
+    ):
+        decoder = MinSumBP(small_problem, backend="native", max_iter=10)
+        decoder.decode_many(syndromes_for(small_problem, 8, 1))
+        assert budgets_seen and set(budgets_seen) == {1}
+        # A thread started inside a grant begins at the default.
+        with use_threads(2):
+            worker = threading.Thread(
+                target=decoder.decode_many,
+                args=(syndromes_for(small_problem, 8, 2),),
+            )
+            worker.start()
+            worker.join()
+        assert set(budgets_seen) == {1}
+
+    def test_use_threads_caps_at_usable_cpus(self):
+        with use_threads(10**6) as granted:
+            assert granted == THREAD_BUDGET.get() == usable_cpus()
+        with use_threads(0) as granted:
+            assert granted == THREAD_BUDGET.get() == 1
+        assert THREAD_BUDGET.get() == 1
+
+    def test_engine_grants_the_budget(self, small_problem, tmp_path):
+        cpus = usable_cpus()
+        for n_workers, want in ((1, cpus), (2, max(1, cpus // 2))):
+            probe = _BudgetProbe(small_problem, backend="native",
+                                 max_iter=10)
+            probe.log = str(tmp_path / f"budget-{n_workers}.txt")
+            run_ler_parallel(
+                small_problem, probe, 64, 3, n_workers=n_workers,
+                shard_shots=16,
+            )
+            with open(probe.log) as fh:
+                seen = {int(line) for line in fh}
+            assert seen == {want}, n_workers
+        # The grant ends with the run.
+        assert THREAD_BUDGET.get() == 1
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 64])
+    def test_pooled_worker_budget_is_its_share(self, n_workers):
+        def init_and_read():
+            _init_worker({}, n_workers)
+            return THREAD_BUDGET.get()
+
+        got = contextvars.Context().run(init_and_read)
+        assert got == max(1, usable_cpus() // n_workers)
+        assert THREAD_BUDGET.get() == 1
+
+    def test_decode_service_decodes_at_budget_one(
+        self, small_problem, budgets_seen
+    ):
+        synd = syndromes_for(small_problem, 12, 4)
+
+        async def scenario():
+            service = DecodeService(
+                small_problem, "min_sum_bp",
+                ServiceConfig(max_batch=4, flush_latency=0.001),
+            )
+            async with service:
+                await asyncio.gather(*(
+                    service.submit(row) for row in synd
+                ))
+
+        with use_threads(2):
+            asyncio.run(scenario())
+        assert budgets_seen and set(budgets_seen) == {1}
+
+    def test_net_server_decodes_at_budget_one(self, budgets_seen):
+        key = "surface_3:capacity:p=0.08:r=1:min_sum_bp:auto"
+
+        async def scenario():
+            async with NetDecodeServer([key]) as server:
+                problem = server.router.catalog[key][0]
+                rng = np.random.default_rng(6)
+                synd = problem.syndromes(problem.sample_errors(6, rng))
+                async with await NetClient.connect(
+                    "127.0.0.1", server.port
+                ) as client:
+                    for row in synd:
+                        await asyncio.wait_for(
+                            client.decode(key, row), timeout=30
+                        )
+
+        with use_threads(2):
+            asyncio.run(scenario())
+        assert budgets_seen and set(budgets_seen) == {1}
+
+    def test_forked_worker_after_threaded_parent(self, bench_problems):
+        problem = bench_problems["coprime154"]
+        # Threaded calls in the parent first, then fork the pool.
+        decoder = MinSumBP(problem, backend="native", max_iter=30)
+        _with_budget(2, decoder.decode_many, syndromes_for(problem, 128, 8))
+
+        def run(n_workers):
+            return run_ler_parallel(
+                problem, MinSumBP(problem, backend="native", max_iter=30),
+                256, 17, n_workers=n_workers, shard_shots=64,
+                mp_context="fork",
+            )
+
+        serial, pooled = run(1), run(2)
+        assert pooled.failures == serial.failures
+        assert np.array_equal(pooled.iterations, serial.iterations)
 
 
 def test_missing_compiler_falls_back_to_fused(tmp_path):

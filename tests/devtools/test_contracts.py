@@ -1,5 +1,5 @@
 """Contract-checker tests: clean on the real registries, and every
-failure mode (REP101–REP105) demonstrated against planted registry
+failure mode (REP101, REP103–REP105) demonstrated against planted registry
 entries.
 
 The planted kernel classes live at module level so pickle can import
@@ -135,25 +135,17 @@ class _MisnamedKernel(FusedKernel):
     name = "not-the-registry-key"
 
 
-class _SilentTierKernel(FusedKernel):
-    name = "planted"
-    # deterministic_sums deliberately NOT declared here: inherited from
-    # FusedKernel, which REP102 must reject for a *new* backend class.
-
-
 class _HoleyKernel(BPKernel):
     """Concrete-looking backend with abstract protocol holes."""
 
     name = "planted"
-    deterministic_sums = False
 
     # start/check_update/... all left abstract.
 
 
-# REP102 checks declaration *below BPKernel*; FusedKernel subclasses
-# inherit the declaration from FusedKernel's body, which counts.  A
-# direct BPKernel subclass with no declaration is the violation.
-class _UndeclaredTierKernel(BPKernel):
+class _MinimalKernel(BPKernel):
+    """A direct BPKernel subclass implementing the whole protocol."""
+
     name = "planted"
 
     def start(self, syndromes, prior):
@@ -180,9 +172,8 @@ class _UndeclaredTierKernel(BPKernel):
         return v2c[keep]
 
 
-class _FakeFusionKernel(_UndeclaredTierKernel):
+class _FakeFusionKernel(_MinimalKernel):
     name = "planted"
-    deterministic_sums = True
     supports_iteration_fusion = True  # ...but no fused_* API
 
 
@@ -201,18 +192,6 @@ def test_kernel_name_mismatch_is_rep105(problem, monkeypatch):
     _plant(monkeypatch, _MisnamedKernel)
     violations = _planted_violations(problem)
     assert [v.code for v in violations] == ["REP105"]
-
-
-def test_inherited_tier_on_subclass_is_allowed(problem, monkeypatch):
-    _plant(monkeypatch, _SilentTierKernel)
-    violations = _planted_violations(problem)
-    assert "REP102" not in [v.code for v in violations]
-
-
-def test_undeclared_tier_is_rep102(problem, monkeypatch):
-    _plant(monkeypatch, _UndeclaredTierKernel)
-    violations = _planted_violations(problem)
-    assert "REP102" in [v.code for v in violations]
 
 
 def test_abstract_protocol_holes_are_rep101(problem, monkeypatch):

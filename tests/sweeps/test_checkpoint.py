@@ -80,11 +80,24 @@ class TestEngineCheckpointHook:
     """run_point_tasks(on_checkpoint=...) semantics, both paths."""
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_checkpoints_stream_the_whole_prefix(self, n_workers):
+    def test_checkpoints_stream_the_whole_prefix(
+        self, n_workers, tmp_path, monkeypatch
+    ):
         from repro.codes import surface_code
+        from repro.devtools.chaos import Fault, write_schedule
         from repro.noise import code_capacity_problem
         from repro.sim import PointTask
 
+        if n_workers > 1:
+            # Pooled shards complete in any order, and a task whose
+            # prefix jumps straight to done (shard 0 finishing last)
+            # never has a mid-task checkpoint to take.  Holding back the
+            # last shard keeps the task open while the head of the
+            # prefix solidifies, so mid-task checkpoints must fire.
+            monkeypatch.setenv("REPRO_CHAOS", write_schedule(
+                tmp_path / "chaos.json",
+                [Fault(shard=7, kind="delay", seconds=1.0)],
+            ))
         problem = code_capacity_problem(surface_code(3), 0.1)
         task = PointTask(label="p", problem=problem, decoder="min_sum_bp",
                          shots=512, seed=3, shard_shots=64)
@@ -100,6 +113,7 @@ class TestEngineCheckpointHook:
         assert drained, "no checkpoint ever fired"
         cursors = [d[1] for d in drained]
         assert cursors == sorted(cursors)  # monotone prefix cursor
+        assert cursors[0] < 8  # fired mid-task, not at the end
         # Cumulative counters at each checkpoint equal the merge of
         # everything drained so far — the exact payload the sweep layer
         # persists as the durable prefix.
