@@ -24,7 +24,10 @@ unset/1); the measured ratios are always recorded in the artifact.
 
 The native kernel is also measured with a 2-thread budget (the
 ``native_2_threads`` rows next to the 1-thread ``native`` rows).  That
-scaling is recorded, not gated: it depends on the host.
+scaling is recorded, not gated: it depends on the host.  So are the
+native rows' µs per row-iteration on plain BP (min, median and spread
+over the repeats) and the plain-BP-only ``bb_144_circuit_r12`` workload
+(Fig. 7's largest graph).
 """
 
 import json
@@ -41,6 +44,11 @@ _ARTIFACT = os.path.join(
 )
 
 
+def _decoders(data):
+    """The decoder families measured on one workload."""
+    return [decoder for decoder in ("bp", "bpsf") if decoder in data]
+
+
 @pytest.fixture(scope="module")
 def report():
     payload = kernel_backend_report()
@@ -54,10 +62,10 @@ def test_backend_table(report):
         experiment_id="kernel_backends",
         title="BP kernel backends: throughput vs reference",
         columns=["workload", "decoder", "backend", "shots/s",
-                 "BP-iters/s", "speedup"],
+                 "BP-iters/s", "speedup", "us/row-iter (min, median)"],
     )
     for workload, data in report["workloads"].items():
-        for decoder in ("bp", "bpsf"):
+        for decoder in _decoders(data):
             ref_seconds = data[decoder]["reference"]["seconds"]
             rows = [(backend, backend) for backend in BACKENDS]
             if "native_2_threads" in data[decoder]:
@@ -67,10 +75,12 @@ def test_backend_table(report):
                 )
             for row, label in rows:
                 entry = data[decoder][row]
+                per = entry.get("us_per_row_iter")
                 table.add_row(
                     workload, decoder, label,
                     entry["shots_per_second"], entry["iters_per_second"],
                     round(ref_seconds / entry["seconds"], 3),
+                    f"{per['min']}, {per['median']}" if per else "",
                 )
     table.notes.append(
         f"{report['cores']} cores visible; artifact saved to "
@@ -88,7 +98,7 @@ def test_backends_bit_identical(report):
     Every backend must match the reference bit-for-bit.
     """
     for workload, data in report["workloads"].items():
-        for decoder in ("bp", "bpsf"):
+        for decoder in _decoders(data):
             assert data[decoder]["bit_identical"], (
                 f"{workload}/{decoder}: a backend's integer outputs "
                 "diverged from reference"
@@ -152,11 +162,11 @@ def test_artifact_written(report):
     with open(_ARTIFACT) as handle:
         data = json.load(handle)
     assert set(data["workloads"]) == {
-        "coprime_154_code_capacity", "bb_144_circuit"
+        "coprime_154_code_capacity", "bb_144_circuit", "bb_144_circuit_r12"
     }
     assert {"reference", "fused"} <= set(data["backends"])
     for workload in data["workloads"].values():
-        for decoder in ("bp", "bpsf"):
+        for decoder in _decoders(workload):
             for backend in data["backends"]:
                 assert workload[decoder][backend]["shots_per_second"] > 0
             if "native" in data["backends"]:
@@ -164,3 +174,8 @@ def test_artifact_written(report):
                 assert scaled["shots_per_second"] > 0
                 assert 1 <= scaled["threads"] <= 2
                 assert workload[decoder]["native_thread_scaling"] > 0
+                if decoder == "bp":
+                    for row in ("native", "native_2_threads"):
+                        per = workload[decoder][row]["us_per_row_iter"]
+                        assert 0 < per["min"] <= per["median"]
+                        assert per["spread"] >= 0 and per["k"] >= 1

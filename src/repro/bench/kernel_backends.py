@@ -7,7 +7,10 @@ the fast-gate smoke test: decode identical syndrome batches with every
 shots/s and BP-iterations/s per backend, per workload.  ``native``
 runs at the default thread budget of 1; a ``native_2_threads`` row
 repeats it with a 2-thread grant (capped at the usable CPUs), recording
-thread scaling without gating on it, since scaling depends on the host:
+thread scaling without gating on it, since scaling depends on the host.
+For plain BP both native rows also record µs per row-iteration (the
+paper's per-iteration unit) over all ``repeats`` timings: min, median
+and spread (max - min):
 
 * ``coprime_154_code_capacity`` — the paper's oscillation-heavy code
   under code capacity, decoded by plain min-sum BP.  This workload is
@@ -16,6 +19,9 @@ thread scaling without gating on it, since scaling depends on the host:
 * ``bb_144_circuit`` — the BB-144 circuit-level DEM (mixed node
   degrees, so the fused kernel's reduceat fallback), decoded by plain
   BP and by the full BP-SF pipeline.
+* ``bb_144_circuit_r12`` — the same code over 12 rounds (Fig. 7's
+  34,776-edge graph, too large for the cache), plain BP only, on a
+  small batch.
 
 Parity is recorded alongside throughput so a silent numeric drift
 fails the benchmark rather than skewing LER tables: every backend must
@@ -51,7 +57,7 @@ BACKENDS = available_backends()
 
 
 def _time_decode(make_decoder, syndromes, repeats):
-    """Best-of-``repeats`` wall time for one decode_many call.
+    """Wall times of ``repeats`` decode_many calls, and the fastest's result.
 
     Every repeat uses a *fresh* decoder instance: sampling decoders
     (BP-SF's trial generation) advance their RNG per decode, so reusing
@@ -64,27 +70,33 @@ def _time_decode(make_decoder, syndromes, repeats):
     measurement's scope (first-touch workspace allocation).
     """
     make_decoder().decode_many(syndromes[: min(8, syndromes.shape[0])])
-    best = float("inf")
+    times = []
     result = None
     for _ in range(repeats):
         decoder = make_decoder()
         start = time.perf_counter()
         attempt = decoder.decode_many(syndromes)
-        seconds = time.perf_counter() - start
-        if seconds < best:
-            best, result = seconds, attempt
-    return best, result
+        times.append(time.perf_counter() - start)
+        if times[-1] == min(times):
+            result = attempt
+    return times, result
 
 
-def _compare_backends(make_decoder, syndromes, repeats):
-    """Per-backend timings + cross-backend parity for one decoder family."""
+def _compare_backends(make_decoder, syndromes, repeats, *, row_iters=False):
+    """Per-backend timings + cross-backend parity for one decoder family.
+
+    With ``row_iters`` (plain BP, where the iteration counts are the
+    row-iterations run) the native rows also record µs per
+    row-iteration over every repeat.
+    """
     entry = {}
     results = {}
 
     def measure(row, backend):
-        seconds, result = _time_decode(
+        times, result = _time_decode(
             lambda: make_decoder(backend), syndromes, repeats
         )
+        seconds = min(times)
         shots = syndromes.shape[0]
         iters = int(result.iterations.sum())
         results[row] = result
@@ -93,6 +105,14 @@ def _compare_backends(make_decoder, syndromes, repeats):
             "shots_per_second": round(shots / seconds, 2),
             "iters_per_second": round(iters / seconds, 1),
         }
+        if row_iters and backend == "native":
+            per = np.array(times) * 1e6 / iters
+            entry[row]["us_per_row_iter"] = {
+                "k": len(times),
+                "min": round(float(per.min()), 3),
+                "median": round(float(np.median(per)), 3),
+                "spread": round(float(per.max() - per.min()), 3),
+            }
 
     for backend in BACKENDS:
         measure(backend, backend)
@@ -124,6 +144,7 @@ def kernel_backend_report(
     *,
     coprime_shots: int = 512,
     bb_shots: int = 128,
+    bb_r12_shots: int = 16,
     repeats: int = 3,
 ) -> dict:
     """Measure every registered backend's throughput on the bench codes."""
@@ -144,7 +165,7 @@ def kernel_backend_report(
         "shots": int(cop_synd.shape[0]),
         "bp": _compare_backends(
             lambda backend: MinSumBP(cop, max_iter=50, backend=backend),
-            cop_synd, repeats,
+            cop_synd, repeats, row_iters=True,
         ),
         "bpsf": _compare_backends(
             lambda backend: BPSFDecoder(
@@ -165,7 +186,7 @@ def kernel_backend_report(
         "shots": int(bb_synd.shape[0]),
         "bp": _compare_backends(
             lambda backend: MinSumBP(bb, max_iter=100, backend=backend),
-            bb_synd, repeats,
+            bb_synd, repeats, row_iters=True,
         ),
         "bpsf": _compare_backends(
             lambda backend: BPSFDecoder(
@@ -173,6 +194,20 @@ def kernel_backend_report(
                 strategy="sampled", seed=1, backend=backend,
             ),
             bb_synd, repeats,
+        ),
+    }
+
+    # The same code over 12 rounds: Fig. 7's largest graph, whose
+    # messages no longer fit in the cache; plain BP on a small batch.
+    bb12 = circuit_level_problem("bb_144_12_12", 3e-3, rounds=12)
+    rng = np.random.default_rng(37)
+    bb12_synd = bb12.syndromes(bb12.sample_errors(bb_r12_shots, rng))
+    payload["workloads"]["bb_144_circuit_r12"] = {
+        "problem": bb12.name,
+        "shots": int(bb12_synd.shape[0]),
+        "bp": _compare_backends(
+            lambda backend: MinSumBP(bb12, max_iter=100, backend=backend),
+            bb12_synd, repeats, row_iters=True,
         ),
     }
     return payload

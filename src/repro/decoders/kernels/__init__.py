@@ -10,9 +10,10 @@ delegate their inner loop to a :class:`BPKernel`:
   ``bitwise_xor.reduceat`` parity check;
 * ``"native"`` — :class:`~repro.decoders.kernels.native.NativeKernel`,
   a ``FusedKernel`` whose multi-iteration fusion API runs in a small C
-  kernel: GIL released during each call, which may spread its rows over
-  up to :data:`THREAD_BUDGET` threads (started and joined inside the
-  call), compiled on first use with ``$CC`` (default ``cc``) into
+  kernel: four rows at once, one per SIMD lane; GIL released during
+  each call, which may spread its lane blocks over up to
+  :data:`THREAD_BUDGET` threads (started and joined inside the call),
+  compiled on first use with ``$CC`` (default ``cc``) into
   ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) and loaded
   through cffi.  *Optional*:
   registered by loader, so without cffi or a working compiler it is
@@ -28,7 +29,7 @@ for any thread budget.  The budget defaults to 1; only the offline
 engine grants more (:func:`use_threads`), so the decode services stay
 single-threaded per call.  The knob exists for debugging, benchmarking
 (``benchmarks/test_kernel_backends.py``) and as the seam further
-GPU/SIMD kernels plug into.
+kernels (wider SIMD, GPU) plug into.
 """
 
 from __future__ import annotations

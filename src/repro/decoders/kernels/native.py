@@ -10,16 +10,26 @@ group, first success wins -- at the iteration it converged.  The
 generic per-step protocol (Mem-BP and sum-product hooks, dtypes other
 than float32/float64) stays the inherited numpy code.
 
-Results are bit-identical to ``fused``, marginals included: the C
-code keeps the working dtype, and its per-variable sums follow numpy's
-``add.reduceat`` order (first element, then numpy's pairwise sum of the
-rest).  ``tests/decoders/test_native_kernel.py`` pins that order
-against numpy.
+Lanes.  The C code advances four rows at once, one per lane of a SIMD
+vector: row ``r`` lives in lane ``r % 4`` of block ``r // 4``, so the
+messages, priors and syndromes live in ``(blocks, k, 4)`` buffers.  The
+first ``fused_run`` of a chunk fills them from the row-major inputs
+``fused_start`` recorded (zero in the padding lanes of a partly filled
+last block), and ``fused_compact`` repacks them lane by lane.  The
+row-major ``fused_marg`` / ``fused_hard`` / ``fused_flips`` views are
+written by the kernel once per row and call, when the row's group froze
+or the call ended.
+
+Results are bit-identical to ``fused``, marginals included, whatever a
+row's lane, block or neighbours: the C code keeps the working dtype,
+and its per-variable sums follow numpy's ``add.reduceat`` order (first
+element, then numpy's pairwise sum of the rest) in every lane.
+``tests/decoders/test_native_kernel.py`` pins that order against numpy.
 
 Build and load.  ``native_kernel.c`` is compiled on first use with
 ``$CC`` (default ``cc``) and ``-O2 -fPIC -shared -ffp-contract=off
--pthread``,
-then opened through cffi's ABI mode (``ffi.dlopen``); no Python
+-pthread`` (no ``-march``: the lanes need only the baseline vector
+unit), then opened through cffi's ABI mode (``ffi.dlopen``); no Python
 headers are needed.  The shared object is cached in
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``, or the system
 temp directory when that is not writable) under a name keyed on the
@@ -31,7 +41,7 @@ compiler the backend reports itself unavailable and the default falls
 back to ``fused``.
 
 Threads.  cffi releases the GIL for the duration of each C call, and
-one ``fused_run`` call may spread its live rows over up to
+one ``fused_run`` call may spread its lane blocks over up to
 :data:`~repro.decoders.kernels.THREAD_BUDGET` POSIX threads, read at
 every call.  The threads start inside the C call and are joined before
 it returns, so none outlives it (and none is alive when a worker
@@ -39,7 +49,7 @@ process forks); a thread that fails to start only leaves its share to
 the others.  On Linux a new thread starts on a CPU other than the
 caller's (otherwise it waits for the load balancer on the caller's
 CPU).  Small calls stay on the calling thread.  Each thread has
-its own scratch row, and every row's arithmetic is the same on any
+its own scratch block, and every row's arithmetic is the same on any
 thread, so results are bit-identical for any budget.  The budget
 defaults to 1 and only the offline engine raises it: see
 :func:`~repro.decoders.kernels.use_threads`.
@@ -69,8 +79,15 @@ __all__ = ["NativeKernel", "load_library"]
 
 _SOURCE = Path(__file__).with_name("native_kernel.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
-#: dtypes the C entry points are compiled for (``bp_run_f32``/``_f64``).
-_C_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+#: dtypes the C entry points are compiled for (``bp_run_f32``/``_f64``),
+#: each with the integer type of its lane masks (hard decisions,
+#: syndromes, flip counts).
+_MASKS = {
+    np.dtype(np.float32): np.dtype(np.int32),
+    np.dtype(np.float64): np.dtype(np.int64),
+}
+#: Rows per lane block: ``LANES`` in ``native_kernel.c`` (``bp_lanes()``).
+_LANES = 4
 
 # The build outcome, memoised once per process: ``(ffi, lib)`` or the
 # error text.  Deliberately outside every cache that tests clear.
@@ -141,9 +158,14 @@ def load_library() -> Any:
                 _SOURCE.read_text(), re.DOTALL,
             ).group(1))
             lib = ffi.dlopen(str(_build()))
+            if lib.bp_lanes() != _LANES:
+                raise ImportError(
+                    f"native kernel has {lib.bp_lanes()} lanes, "
+                    f"expected {_LANES}"
+                )
             NativeKernel.runtime_version = (
                 f"C, {ffi.string(lib.bp_compiler()).decode()}, "
-                f"up to {usable_cpus()} threads"
+                f"{_LANES} lanes, up to {usable_cpus()} threads"
             )
             _LIBRARY = (ffi, lib)
         except (ImportError, OSError, subprocess.SubprocessError) as exc:
@@ -194,12 +216,28 @@ _GRAPHS: "weakref.WeakKeyDictionary[TannerEdges, _Graph]" = (
 )
 
 
+def _aligned_empty(shape: tuple[int, ...], dtype: Any) -> np.ndarray:
+    """``np.empty`` whose data starts on a 64-byte boundary.
+
+    The C kernel loads whole lane vectors, which need 16-byte alignment.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start: start + nbytes].view(dtype).reshape(shape)
+
+
 class _State:
     """Fused-path chunk buffers (capacity rows) and their C view.
 
-    Pointers are bound once per allocation; ``fused_start`` only
-    switches the per-chunk fields (prior, flips, groups) between them
-    and ``NULL``.  ``scratch`` has one row per thread.
+    Lane buffers are ``(blocks, k, 4)`` with ``blocks = ceil(cap / 4)``;
+    ``synd_rows`` holds the chunk's syndromes row by row until the
+    kernel's first run lays them out in lanes; ``marg``, ``hard`` and
+    ``flips`` are the row-major outputs the kernel publishes.  Pointers
+    are bound once per allocation; ``fused_start`` only switches the
+    per-chunk fields (prior rows, flips, groups).  ``scratch`` has one
+    block slice per thread.
     """
 
     def __init__(
@@ -207,16 +245,22 @@ class _State:
         n_alphas: int, threads: int,
     ) -> None:
         e, n, c = edges.n_edges, edges.n_vars, edges.check_ids.size
+        blocks = -(-cap // _LANES)
+        mask = _MASKS[dtype]
         self.cap = cap
         self.threads = threads
-        self.v2c = np.empty((cap, e), dtype)
-        self.marg = np.empty((cap, n), dtype)
-        self.scratch = np.empty((threads, e), dtype)
+        self.v2c = _aligned_empty((blocks, e, _LANES), dtype)
+        self.lane_marg = _aligned_empty((blocks, n, _LANES), dtype)
+        self.lane_hard = _aligned_empty((blocks, n, _LANES), mask)
+        self.lane_flips = _aligned_empty((blocks, n, _LANES), mask)
+        self.scratch = _aligned_empty((threads, e, _LANES), dtype)
         self.alphas = np.empty(n_alphas, dtype)
-        self.prior = np.empty((cap, n), dtype)
+        self.prior = _aligned_empty((blocks, n, _LANES), dtype)
+        self.synd = _aligned_empty((blocks, c, _LANES), mask)
+        self.synd_rows = np.empty((cap, c), np.uint8)
+        self.marg = np.empty((cap, n), dtype)
         self.hard = np.empty((cap, n), np.uint8)
         self.flips = np.empty((cap, n), np.int32)
-        self.synd = np.empty((cap, c), np.uint8)
         self.feasible = np.empty(cap, bool)
         self.groups = np.empty(cap, np.int64)
         self.conv = np.empty(cap, bool)
@@ -224,13 +268,14 @@ class _State:
         self.stop_rel = np.empty(cap, np.int64)
         self.keep = np.empty(cap, bool)
         self.c = ffi.new("bp_state *")
-        for name in ("v2c", "marg", "scratch", "alphas", "hard", "synd",
-                     "feasible", "conv", "frozen", "stop_rel"):
+        for name in ("synd_rows", "prior", "synd", "v2c", "lane_marg",
+                     "lane_hard", "lane_flips", "scratch", "alphas", "marg",
+                     "hard", "feasible", "conv", "frozen", "stop_rel"):
             setattr(self.c, name,
                     _pointer(ffi, self.c, name, getattr(self, name)))
         self.ptr = {
             name: _pointer(ffi, self.c, name, getattr(self, name))
-            for name in ("prior", "flips", "groups")
+            for name in ("flips", "groups")
         }
         self.ptr["keep"] = ffi.cast("uint8_t *", self.keep.ctypes.data)
 
@@ -245,10 +290,10 @@ class NativeKernel(FusedKernel):
     def __init__(self, edges, check_matrix, *, clamp, dtype):
         super().__init__(edges, check_matrix, clamp=clamp, dtype=dtype)
         # Other dtypes take the inherited per-step numpy path.
-        self.supports_iteration_fusion = self.dtype in _C_DTYPES
+        self.supports_iteration_fusion = self.dtype in _MASKS
         self._graph: _Graph | None = None
         self._state: _State | None = None
-        self._prior: np.ndarray | None = None   # shared prior in use
+        self._prior: np.ndarray | None = None   # prior rows of the chunk
         self._track = False
 
     def __getstate__(self):
@@ -261,12 +306,14 @@ class NativeKernel(FusedKernel):
     # -- multi-iteration fusion API -------------------------------------
 
     def fused_start(self, syndromes, prior, groups, alphas, track_flips):
-        """Begin a chunk: syndrome context, priors, initial messages.
+        """Begin a chunk: syndromes, priors, stop groups and damping.
 
         ``prior`` is ``(1, n)`` or ``(batch, n)``; ``groups`` the
         chunk's ``stop_groups`` ids or ``None``; ``alphas[i]`` the
         damping factor of iteration ``i + 1``.  The kernel owns (and
-        compacts) all of them until the next ``fused_start``.
+        compacts) all of them until the next ``fused_start``; the first
+        ``fused_run`` (from iteration 0) lays the syndromes and priors
+        out in lanes and sets the initial messages.
         """
         edges = self.edges
         m = syndromes.shape[0]
@@ -288,26 +335,19 @@ class NativeKernel(FusedKernel):
             )
         c = st.c
 
-        syndromes.take(edges.check_ids, axis=1, out=st.synd[:m])
+        syndromes.take(edges.check_ids, axis=1, out=st.synd_rows[:m])
         if edges.all_checks_nonempty:
             st.feasible[:m] = True
         else:
             empty_bits = syndromes[:, edges.empty_check_ids]
             np.logical_not(empty_bits.any(axis=1), out=st.feasible[:m])
-        if prior.shape[0] == 1:
-            self._prior = np.ascontiguousarray(prior, dtype=self.dtype)
-            c.prior = ffi.cast("void *", self._prior.ctypes.data)
-            c.prior_stride = 0
-            st.v2c[:m] = self._prior[:, edges.edge_var]
-        else:
-            st.prior[:m] = prior
-            c.prior = st.ptr["prior"]
-            c.prior_stride = edges.n_vars
-            st.prior[:m].take(edges.edge_var, axis=1, out=st.v2c[:m])
+        # Read by the first fused_run, which lays it out in lanes.
+        self._prior = np.ascontiguousarray(prior, dtype=self.dtype)
+        c.prior_rows = ffi.cast("void *", self._prior.ctypes.data)
+        c.prior_stride = 0 if prior.shape[0] == 1 else edges.n_vars
         st.alphas[: len(alphas)] = alphas
         self._track = bool(track_flips)
         if self._track:
-            st.flips[:m] = 0
             c.flips = st.ptr["flips"]
         else:
             c.flips = ffi.NULL
@@ -325,7 +365,7 @@ class NativeKernel(FusedKernel):
         kernel call: per-row convergence, whether the row's group
         stopped, and the iterations each row ran in this call.  The
         call may use up to :data:`THREAD_BUDGET` threads (as many as
-        the workspace has scratch rows).
+        the workspace has scratch blocks).
         """
         m = self._m
         st = self._state

@@ -12,7 +12,9 @@ contract over
   fallback),
 * structured uniform-degree graphs (the strided fast path),
 * float32 and float64, adaptive and constant damping,
-* per-shot prior overrides,
+* per-shot prior overrides, including exact +-0.0 and tied minima,
+* chunk sizes that leave the native kernel's four-row lane blocks
+  partly filled,
 * ``stop_groups`` first-success semantics,
 * thread budgets 1, 2 and 3 (3 exceeds a 2-core host),
 * the Mem-BP and sum-product subclasses (whose ``_iteration_prior`` /
@@ -146,6 +148,33 @@ class TestRandomGraphs:
             MinSumBP, problem, synd, max_iter=15, track_oscillations=True
         ))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_priors_keep_zero_signs(self, dtype):
+        # Every check has even degree, so with all-zero priors and
+        # syndromes each row converges at iteration 1 with zero
+        # marginals.  Their signs follow from treating -0.0 as
+        # non-negative (``x < 0``), not from its sign bit.
+        h = np.array(
+            [[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1, 0, 0],
+             [1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 1, 0, 0, 1, 1]],
+            dtype=np.uint8,
+        )
+        problem = problem_from_matrix(h)
+        synd = np.zeros((11, 4), dtype=np.uint8)
+        prior = np.random.default_rng(1).choice(
+            np.array([0.0, -0.0], dtype), size=(11, 8)
+        )
+        results = decode_all(
+            MinSumBP, problem, synd, max_iter=5, dtype=dtype,
+            decode_kwargs={"prior_llr": prior},
+        )
+        assert_all_identical(results)
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        ref = results["reference"].marginals.view(bits)
+        assert np.all(results["reference"].iterations == 1)
+        for out in results.values():
+            assert np.array_equal(out.marginals.view(bits), ref)
+
     def test_uniform_degree_graph_uses_strided_path(self):
         # A (3,6)-regular-ish structured graph: every check degree 3.
         rng = np.random.default_rng(0)
@@ -222,6 +251,39 @@ class TestRealCode:
         finally:
             THREAD_BUDGET.reset(token)
         assert_all_identical(results)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 63, 257])
+    def test_chunk_sizes_across_lane_blocks(
+        self, coprime_problem, rows, dtype
+    ):
+        # The native kernel runs four rows per lane block: chunks that
+        # leave a block partly filled must decode like any other.
+        synd = syndromes_for(coprime_problem, rows, 50 + rows)
+        assert_all_identical(decode_all(
+            MinSumBP, coprime_problem, synd, max_iter=20, dtype=dtype,
+            batch_size=rows, track_oscillations=True,
+        ))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_and_tied_priors(
+        self, coprime_problem, coprime_syndromes, dtype
+    ):
+        # -0.0 is non-negative to every backend's sign rule, and tied
+        # minima take the duplicate-counting second minimum.
+        batch = coprime_syndromes.shape[0]
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 0.5], dtype)
+        prior = np.random.default_rng(6).choice(
+            values, size=(batch, coprime_problem.n_mechanisms)
+        )
+        sizes = [3, 5, 30, 5, 3, 30, 3, 3, 5, 3, 3, 3]
+        groups = np.repeat(np.arange(len(sizes)), sizes)
+        assert groups.size == batch
+        assert_all_identical(decode_all(
+            MinSumBP, coprime_problem, coprime_syndromes, max_iter=20,
+            dtype=dtype, track_oscillations=True,
+            decode_kwargs={"prior_llr": prior, "stop_groups": groups},
+        ))
 
     def test_memory_bp_subclass(self, coprime_problem, coprime_syndromes):
         assert_all_identical(decode_all(

@@ -12,6 +12,10 @@ the C kernel builds).  This module pins what that suite cannot see:
   budget on both benchmark graphs, no thread outlives a call, only the
   offline engine grants a budget above 1, and a forked worker decodes
   correctly after its parent ran threaded calls;
+* four rows per lane block: partly filled blocks, rows retiring from
+  the middle of a block, stop groups straddling blocks, signed zeros
+  and tied minima, and a row's result independent of its lane and its
+  neighbours;
 * a missing compiler degrades to ``fused``, and a cold build cache
   survives two processes racing on it.
 """
@@ -86,28 +90,31 @@ def _pair(problem, **kwargs):
 @needs_native
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_segment_sums_match_reduceat_order(dtype):
-    from repro.decoders.kernels.native import load_library
+    from repro.decoders.kernels.native import _aligned_empty, load_library
 
     ffi, lib = load_library()
     rng = np.random.default_rng(3)
     lengths = np.tile(np.arange(1, 301), 2)
     rng.shuffle(lengths)
     ptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    # Mixed magnitudes, so a different summation order shows up.
-    values = rng.normal(size=(2, ptr[-1])) * 10.0 ** rng.integers(
-        -3, 4, size=(2, ptr[-1])
+    # Four rows, one per lane; mixed magnitudes, so a different
+    # summation order shows up.
+    values = rng.normal(size=(4, ptr[-1])) * 10.0 ** rng.integers(
+        -3, 4, size=(4, ptr[-1])
     )
     values = values.astype(dtype)
     expected = np.add.reduceat(values, ptr[:-1], axis=1)
+    lanes = _aligned_empty((ptr[-1], 4), dtype)
+    lanes[...] = values.T
+    got = _aligned_empty((lengths.size, 4), dtype)
     ctype = "float" if dtype == np.float32 else "double"
     run = lib.bp_segment_sums_f32 if dtype == np.float32 \
         else lib.bp_segment_sums_f64
-    for row, want in zip(values, expected):
-        got = np.empty(lengths.size, dtype)
-        run(ffi.cast(f"{ctype} *", row.ctypes.data),
-            ffi.cast("int64_t *", ptr.ctypes.data), lengths.size,
-            ffi.cast(f"{ctype} *", got.ctypes.data))
-        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    run(ffi.cast(f"{ctype} *", lanes.ctypes.data),
+        ffi.cast("int64_t *", ptr.ctypes.data), lengths.size,
+        ffi.cast(f"{ctype} *", got.ctypes.data))
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    assert np.array_equal(got.T.view(bits), expected.view(bits))
     # The test has teeth: a plain left-to-right sum differs somewhere.
     naive = np.array([
         np.cumsum(values[0, lo:hi])[-1] for lo, hi in zip(ptr, ptr[1:])
@@ -226,6 +233,27 @@ def _with_budget(threads, fn, *args, **kwargs):
         THREAD_BUDGET.reset(token)
 
 
+def _native_matches_fused(problem, synd, dtype, decode_kwargs=None,
+                          **kwargs):
+    """Native equals fused in every column at thread budgets 1-3."""
+    def decode(backend):
+        return MinSumBP(
+            problem, backend=backend, dtype=dtype,
+            track_oscillations=True, **kwargs,
+        ).decode_many(synd, **(decode_kwargs or {}))
+
+    want = decode("fused")
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    for threads in (1, 2, 3):
+        got = _with_budget(threads, decode, "native")
+        assert_identical(want, got)
+        # Bit for bit, so the sign of a zero marginal counts too.
+        assert np.array_equal(
+            got.marginals.view(bits), want.marginals.view(bits)
+        )
+        assert got.flip_counts is not None
+
+
 @pytest.fixture(scope="module")
 def bench_problems():
     """The two benchmark graphs: BB-144 circuit DEM, coprime-154 capacity."""
@@ -293,17 +321,9 @@ class TestThreads:
             ({"damping": "adaptive"}, {}),
         ]
         for kwargs, decode_kwargs in cases:
-            def decode(backend):
-                return MinSumBP(
-                    problem, backend=backend, max_iter=40, dtype=dtype,
-                    track_oscillations=True, **kwargs,
-                ).decode_many(synd, **decode_kwargs)
-
-            want = decode("fused")
-            for threads in (1, 2, 3):
-                got = _with_budget(threads, decode, "native")
-                assert_identical(want, got)
-                assert got.flip_counts is not None
+            _native_matches_fused(
+                problem, synd, dtype, decode_kwargs, max_iter=40, **kwargs
+            )
 
     def test_workspace_has_a_scratch_row_per_thread(self, bench_problems):
         problem = bench_problems["coprime154"]
@@ -433,6 +453,118 @@ class TestThreads:
         serial, pooled = run(1), run(2)
         assert pooled.failures == serial.failures
         assert np.array_equal(pooled.iterations, serial.iterations)
+
+
+# -- row-interleaved lanes -----------------------------------------------
+
+
+def tied_priors(problem, rows, dtype, seed):
+    """Per-shot priors drawn from a few values: exact +-0.0, tied minima."""
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 0.5], dtype)
+    return np.random.default_rng(seed).choice(
+        values, size=(rows, problem.n_mechanisms)
+    )
+
+
+def straddling_groups(sizes):
+    """Stop-group ids for consecutive groups of ``sizes`` rows."""
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes)[:-1]
+    assert np.any(starts % 4), "no group straddles a lane block"
+    return groups
+
+
+@needs_native
+class TestLanes:
+    """Four rows per lane block: partial blocks, compaction, groups."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 63, 257])
+    def test_partial_blocks(self, bench_problems, rows, dtype):
+        problem = bench_problems["coprime154"]
+        synd = syndromes_for(problem, rows, 40 + rows)
+        _native_matches_fused(
+            problem, synd, dtype, max_iter=30, batch_size=rows
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_retire_from_the_middle_of_a_block(
+        self, bench_problems, dtype, monkeypatch
+    ):
+        from repro.decoders.kernels.native import NativeKernel
+
+        problem = bench_problems["coprime154"]
+        keeps = []
+        original = NativeKernel.fused_compact
+        monkeypatch.setattr(
+            NativeKernel, "fused_compact",
+            lambda self, keep: keeps.append(keep.copy())
+            or original(self, keep),
+        )
+        _native_matches_fused(
+            problem, syndromes_for(problem, 64, 9), dtype, max_iter=40
+        )
+        # Some compaction dropped a row that was not last in its block
+        # and kept a later one, so live rows changed lanes.
+        assert any(
+            np.any((~keep[:-1] & keep[1:])[np.arange(keep.size - 1) % 4 < 3])
+            for keep in keeps
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("graph", ["bb144", "coprime154"])
+    def test_stop_groups_straddle_blocks(self, bench_problems, graph, dtype):
+        problem = bench_problems[graph]
+        groups = straddling_groups([3, 5, 30, 5, 3, 30, 3, 3, 5])
+        rows = groups.size
+        synd = syndromes_for(problem, rows, 12)
+        _native_matches_fused(
+            problem, synd, dtype, max_iter=30,
+            decode_kwargs={"stop_groups": groups},
+        )
+        _native_matches_fused(
+            problem, synd, dtype, max_iter=30, damping=0.75,
+            decode_kwargs={
+                "stop_groups": groups,
+                "prior_llr": tied_priors(problem, rows, dtype, 3),
+            },
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_and_tied_priors(self, bench_problems, dtype):
+        problem = bench_problems["coprime154"]
+        synd = syndromes_for(problem, 37, 5)
+        prior = tied_priors(problem, 37, dtype, 8)
+        assert np.any(np.signbit(prior) & (prior == 0))
+        _native_matches_fused(
+            problem, synd, dtype, max_iter=20,
+            decode_kwargs={"prior_llr": prior},
+        )
+
+    def test_row_result_independent_of_lane_and_neighbours(
+        self, bench_problems
+    ):
+        problem = bench_problems["coprime154"]
+        synd = syndromes_for(problem, 13, 31)
+        other = syndromes_for(problem, 3, 32)
+        decoder = MinSumBP(
+            problem, backend="native", max_iter=30, track_oscillations=True
+        )
+        whole = decoder.decode_many(synd)
+        for shift in (1, 2, 3):
+            moved = decoder.decode_many(np.vstack([other[:shift], synd]))
+            for name in ("errors", "converged", "iterations", "marginals",
+                         "flip_counts"):
+                assert np.array_equal(
+                    getattr(moved, name)[shift:], getattr(whole, name)
+                ), (shift, name)
+        for row in range(synd.shape[0]):
+            alone = decoder.decode_many(synd[row: row + 1])
+            assert np.array_equal(alone.marginals[0], whole.marginals[row])
+            assert np.array_equal(
+                alone.flip_counts[0], whole.flip_counts[row]
+            )
+            assert alone.iterations[0] == whole.iterations[row]
 
 
 def test_missing_compiler_falls_back_to_fused(tmp_path):
