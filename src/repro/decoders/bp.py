@@ -30,13 +30,6 @@ from repro.problem import DecodingProblem
 
 __all__ = ["DampingSchedule", "MinSumBP"]
 
-# Cap on the multi-iteration fusion depth: how many BP iterations an
-# iteration-fusing kernel may run inside one backend call.  Purely a
-# latency/throughput trade (convergence is still checked in-kernel every
-# iteration, so results never depend on the depth): a huge span would
-# only delay Python-side retirement bookkeeping, never change it.
-_FUSION_MAX_SPAN = 32
-
 
 class DampingSchedule:
     """Damping factor per iteration.
@@ -133,8 +126,8 @@ class MinSumBP(Decoder):
             clamp=self.clamp, dtype=dtype,
         )
         self._prior_llr = problem.llr_priors().astype(dtype)
-        # Multi-iteration fusion runs K iterations per kernel call, so
-        # it is only sound when no subclass hook intercepts the
+        # Multi-iteration fusion decodes a whole chunk in one kernel
+        # call, so it is only sound when no subclass hook intercepts the
         # per-iteration protocol (Mem-BP's prior blend, sum-product's
         # check rule).  Such subclasses fall back to the generic loop,
         # which every backend — fusing or not — implements.
@@ -370,78 +363,27 @@ class MinSumBP(Decoder):
         prior: np.ndarray,
         groups: np.ndarray | None,
     ) -> BatchDecodeResult:
-        """Decode one chunk through an iteration-fusing kernel.
+        """Decode one chunk in one call of an iteration-fusing kernel.
 
-        The kernel runs spans of up to ``_FUSION_MAX_SPAN`` iterations
-        per call, checking convergence in-kernel every iteration and
-        freezing each row (or its whole ``stop_groups`` group — first
-        success wins) at the exact iteration it converged, so outputs
-        match the generic one-call-per-iteration loop; only the
-        Python-side bookkeeping cadence changes.  The span is adaptive:
-        1 until the first convergence activity (early iterations rarely
-        converge but cheap spans keep retirement prompt on easy
-        batches), then doubling — converged rows are compacted away
-        between calls, so long spans run only on the shrinking hard
-        tail.
+        The kernel checks convergence every iteration and freezes each
+        row (or its whole ``stop_groups`` group — first success wins)
+        at the exact iteration it converged, so every column matches
+        the generic one-call-per-iteration loop.
         """
         # The fusion API is an optional extension outside ``BPKernel``.
         kernel: Any = self._kernel
-        batch = syndromes.shape[0]
-        n = self.edges.n_vars
-        max_iter = self.max_iter
-
-        errors = np.zeros((batch, n), dtype=np.uint8)
-        marginals = np.broadcast_to(prior, (batch, n)).copy()
-        iterations = np.full(batch, max_iter, dtype=np.int64)
-        converged = np.zeros(batch, dtype=bool)
-        flips_out = (
-            np.zeros((batch, n), dtype=np.int32)
-            if self.track_oscillations else None
-        )
-
-        index: np.ndarray = np.arange(batch)
         alphas = np.array(
-            [self.damping.alpha(i) for i in range(1, max_iter + 1)],
+            [self.damping.alpha(i) for i in range(1, self.max_iter + 1)],
             dtype=self.dtype,
         )
         kernel.fused_start(
             syndromes, prior, groups, alphas, self.track_oscillations
         )
-
-        it = 0
-        span = 1
-        active = False
-        while it < max_iter:
-            width = min(span, max_iter - it)
-            conv, frozen, stop_rel = kernel.fused_run(it, width)
-            if frozen.any():
-                active = True
-                gone = np.nonzero(frozen)[0]
-                done_idx = index[gone]
-                errors[done_idx] = kernel.fused_hard[gone]
-                marginals[done_idx] = kernel.fused_marg[gone]
-                iterations[done_idx] = it + stop_rel[gone]
-                converged[done_idx] = conv[gone]
-                if flips_out is not None:
-                    flips_out[done_idx] = kernel.fused_flips[gone]
-                keep = ~frozen
-                if not keep.any():
-                    return BatchDecodeResult(
-                        errors, converged, iterations, marginals, flips_out
-                    )
-                index = index[keep]
-                kernel.fused_compact(keep)
-            it += width
-            if active:
-                span = min(span * 2, _FUSION_MAX_SPAN)
-
-        # Leftovers did not converge within the budget.
-        errors[index] = kernel.fused_hard
-        marginals[index] = kernel.fused_marg
-        if flips_out is not None:
-            flips_out[index] = kernel.fused_flips
+        converged, iterations = kernel.fused_run(self.max_iter)
+        flips = kernel.fused_flips
         return BatchDecodeResult(
-            errors, converged, iterations, marginals, flips_out
+            kernel.fused_hard.copy(), converged.copy(), iterations.copy(),
+            kernel.fused_marg.copy(), None if flips is None else flips.copy(),
         )
 
     def _iteration_prior(

@@ -10,9 +10,11 @@ delegate their inner loop to a :class:`BPKernel`:
   ``bitwise_xor.reduceat`` parity check;
 * ``"native"`` — :class:`~repro.decoders.kernels.native.NativeKernel`,
   a ``FusedKernel`` whose multi-iteration fusion API runs in a small C
-  kernel: four rows at once, one per SIMD lane; GIL released during
-  each call, which may spread its lane blocks over up to
-  :data:`THREAD_BUDGET` threads (started and joined inside the call),
+  kernel: one call per chunk, four rows at once, one per SIMD lane,
+  each lane refilled with the next row as soon as its row's stop group
+  freezes; GIL released during each call, which may spread the chunk's
+  stop groups over up to :data:`THREAD_BUDGET` threads (started and
+  joined inside the call),
   compiled on first use with ``$CC`` (default ``cc``) into
   ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) and loaded
   through cffi.  *Optional*:

@@ -15,8 +15,8 @@ Three CPU backends ship today — :class:`~repro.decoders.kernels
 .reference.ReferenceKernel` (the historical allocating implementation),
 :class:`~repro.decoders.kernels.fused.FusedKernel` (preallocated
 workspace + edge-domain parity check) and :class:`~repro.decoders
-.kernels.native.NativeKernel` (``fused`` plus a C multi-iteration
-driver) — and they are **bit-identical**;
+.kernels.native.NativeKernel` (``fused`` plus a C driver that decodes
+a whole chunk per call) — and they are **bit-identical**;
 ``tests/decoders/test_kernel_parity.py`` enforces it.  A GPU/SIMD
 kernel plugs in by implementing the same protocol.
 
@@ -110,9 +110,9 @@ class BPKernel(ABC):
     name: str = ""
 
     #: Whether the backend implements the multi-iteration fusion API
-    #: (``fused_start``/``fused_run``/``fused_compact`` + the
+    #: (``fused_start``/``fused_run`` + the
     #: ``fused_marg``/``fused_hard``/``fused_flips`` views) that lets
-    #: :class:`~repro.decoders.bp.MinSumBP` run K iterations per
+    #: :class:`~repro.decoders.bp.MinSumBP` decode a whole chunk in one
     #: backend call instead of one protocol round-trip per iteration.
     supports_iteration_fusion: bool = False
 

@@ -2,26 +2,27 @@
 
 :class:`NativeKernel` is a :class:`~repro.decoders.kernels.fused
 .FusedKernel` whose multi-iteration fusion API (``fused_start`` /
-``fused_run`` / ``fused_compact`` and the ``fused_marg`` /
-``fused_hard`` / ``fused_flips`` views) runs in C: one call executes
-many BP iterations over every live row of a chunk, checking convergence
-after each iteration and freezing a row -- or its whole ``stop_groups``
-group, first success wins -- at the iteration it converged.  The
-generic per-step protocol (Mem-BP and sum-product hooks, dtypes other
-than float32/float64) stays the inherited numpy code.
+``fused_run`` and the ``fused_marg`` / ``fused_hard`` / ``fused_flips``
+views) runs in C: one ``fused_run`` call decodes a whole chunk,
+checking convergence after each iteration and freezing a row -- or its
+whole ``stop_groups`` group, first success wins -- at the iteration it
+converged.  The generic per-step protocol (Mem-BP and sum-product
+hooks, dtypes other than float32/float64) stays the inherited numpy
+code.
 
 Lanes.  The C code advances four rows at once, one per lane of a SIMD
-vector: row ``r`` lives in lane ``r % 4`` of block ``r // 4``, so the
-messages, priors and syndromes live in ``(blocks, k, 4)`` buffers.  The
-first ``fused_run`` of a chunk fills them from the row-major inputs
-``fused_start`` recorded (zero in the padding lanes of a partly filled
-last block), and ``fused_compact`` repacks them lane by lane.  The
+vector, so the messages, priors and syndromes live in ``(blocks, k,
+4)`` buffers.  Each thread owns a pool of ``max(1, ceil(largest group /
+4))`` blocks; a frozen group's lanes are refilled at once with the next
+whole group of the chunk, read from the row-major inputs
+``fused_start`` recorded.  Each lane keeps its own iteration count, so
+a row's damping and flip counting follow its own iterations.  The
 row-major ``fused_marg`` / ``fused_hard`` / ``fused_flips`` views are
-written by the kernel once per row and call, when the row's group froze
-or the call ended.
+written once per row, when its group leaves its lanes.
 
 Results are bit-identical to ``fused``, marginals included, whatever a
-row's lane, block or neighbours: the C code keeps the working dtype,
+row's lane, block, neighbours or load time: the C code keeps the
+working dtype,
 and its per-variable sums follow numpy's ``add.reduceat`` order (first
 element, then numpy's pairwise sum of the rest) in every lane.
 ``tests/decoders/test_native_kernel.py`` pins that order against numpy.
@@ -41,18 +42,18 @@ compiler the backend reports itself unavailable and the default falls
 back to ``fused``.
 
 Threads.  cffi releases the GIL for the duration of each C call, and
-one ``fused_run`` call may spread its lane blocks over up to
-:data:`~repro.decoders.kernels.THREAD_BUDGET` POSIX threads, read at
-every call.  The threads start inside the C call and are joined before
-it returns, so none outlives it (and none is alive when a worker
-process forks); a thread that fails to start only leaves its share to
-the others.  On Linux a new thread starts on a CPU other than the
-caller's (otherwise it waits for the load balancer on the caller's
-CPU).  Small calls stay on the calling thread.  Each thread has
-its own scratch block, and every row's arithmetic is the same on any
-thread, so results are bit-identical for any budget.  The budget
-defaults to 1 and only the offline engine raises it: see
-:func:`~repro.decoders.kernels.use_threads`.
+one ``fused_run`` call may spread the chunk's stop groups over up to
+:data:`~repro.decoders.kernels.THREAD_BUDGET` POSIX threads (never more
+than there are groups), read at every call.  The threads start inside
+the C call and are joined before it returns, so none outlives it (and
+none is alive when a worker process forks); a thread that fails to
+start only leaves its share to the others.  On Linux a new thread
+starts on a CPU other than the caller's (otherwise it waits for the
+load balancer on the caller's CPU).  Small calls stay on the calling
+thread.  Each thread has its own lane pool and scratch block, and every
+row's arithmetic is the same on any thread, so results are
+bit-identical for any budget.  The budget defaults to 1 and only the
+offline engine raises it: see :func:`~repro.decoders.kernels.use_threads`.
 """
 
 from __future__ import annotations
@@ -216,68 +217,70 @@ _GRAPHS: "weakref.WeakKeyDictionary[TannerEdges, _Graph]" = (
 )
 
 
-def _aligned_empty(shape: tuple[int, ...], dtype: Any) -> np.ndarray:
-    """``np.empty`` whose data starts on a 64-byte boundary.
+def _aligned_zeros(shape: tuple[int, ...], dtype: Any) -> np.ndarray:
+    """``np.zeros`` whose data starts on a 64-byte boundary.
 
     The C kernel loads whole lane vectors, which need 16-byte alignment.
     """
     dtype = np.dtype(dtype)
     nbytes = int(np.prod(shape)) * dtype.itemsize
-    raw = np.empty(nbytes + 64, np.uint8)
+    raw = np.zeros(nbytes + 64, np.uint8)
     start = -raw.ctypes.data % 64
     return raw[start: start + nbytes].view(dtype).reshape(shape)
 
 
 class _State:
-    """Fused-path chunk buffers (capacity rows) and their C view.
+    """Fused-path chunk buffers and their C view.
 
-    Lane buffers are ``(blocks, k, 4)`` with ``blocks = ceil(cap / 4)``;
-    ``synd_rows`` holds the chunk's syndromes row by row until the
-    kernel's first run lays them out in lanes; ``marg``, ``hard`` and
-    ``flips`` are the row-major outputs the kernel publishes.  Pointers
-    are bound once per allocation; ``fused_start`` only switches the
-    per-chunk fields (prior rows, flips, groups).  ``scratch`` has one
-    block slice per thread.
+    Row-major inputs and outputs hold ``cap`` rows: the syndromes of
+    non-empty checks, feasibility and group ids in; ``marg``, ``hard``,
+    ``flips``, ``conv`` and ``iterations`` out, written by the kernel.
+    Lane buffers are ``(blocks, k, 4)``, ``blocks`` covering one lane
+    pool per thread; they start zeroed, so an idle lane never computes
+    on denormal garbage.  ``scratch`` has one block slice per thread.
+    Pointers are bound once per allocation; ``fused_start`` only
+    switches the per-chunk fields (prior rows, flips, groups, pool).
     """
 
     def __init__(
-        self, ffi: Any, edges: TannerEdges, cap: int, dtype: np.dtype,
-        n_alphas: int, threads: int,
+        self, ffi: Any, edges: TannerEdges, cap: int, blocks: int,
+        dtype: np.dtype, n_alphas: int, threads: int,
     ) -> None:
         e, n, c = edges.n_edges, edges.n_vars, edges.check_ids.size
-        blocks = -(-cap // _LANES)
         mask = _MASKS[dtype]
         self.cap = cap
+        self.blocks = blocks
         self.threads = threads
-        self.v2c = _aligned_empty((blocks, e, _LANES), dtype)
-        self.lane_marg = _aligned_empty((blocks, n, _LANES), dtype)
-        self.lane_hard = _aligned_empty((blocks, n, _LANES), mask)
-        self.lane_flips = _aligned_empty((blocks, n, _LANES), mask)
-        self.scratch = _aligned_empty((threads, e, _LANES), dtype)
+        self.v2c = _aligned_zeros((blocks, e, _LANES), dtype)
+        self.lane_marg = _aligned_zeros((blocks, n, _LANES), dtype)
+        self.lane_hard = _aligned_zeros((blocks, n, _LANES), mask)
+        self.lane_flips = _aligned_zeros((blocks, n, _LANES), mask)
+        self.prior = _aligned_zeros((blocks, n, _LANES), dtype)
+        self.synd = _aligned_zeros((blocks, c, _LANES), mask)
+        self.lane_row = np.empty((blocks, _LANES), np.int64)
+        self.lane_iter = np.empty((blocks, _LANES), np.int64)
+        self.lane_group = np.empty((blocks, _LANES), np.int64)
+        self.scratch = _aligned_zeros((threads, e, _LANES), dtype)
         self.alphas = np.empty(n_alphas, dtype)
-        self.prior = _aligned_empty((blocks, n, _LANES), dtype)
-        self.synd = _aligned_empty((blocks, c, _LANES), mask)
         self.synd_rows = np.empty((cap, c), np.uint8)
+        self.feasible = np.empty(cap, bool)
+        self.groups = np.empty(cap, np.int64)
         self.marg = np.empty((cap, n), dtype)
         self.hard = np.empty((cap, n), np.uint8)
         self.flips = np.empty((cap, n), np.int32)
-        self.feasible = np.empty(cap, bool)
-        self.groups = np.empty(cap, np.int64)
         self.conv = np.empty(cap, bool)
-        self.frozen = np.empty(cap, bool)
-        self.stop_rel = np.empty(cap, np.int64)
-        self.keep = np.empty(cap, bool)
+        self.iterations = np.empty(cap, np.int64)
         self.c = ffi.new("bp_state *")
-        for name in ("synd_rows", "prior", "synd", "v2c", "lane_marg",
-                     "lane_hard", "lane_flips", "scratch", "alphas", "marg",
-                     "hard", "feasible", "conv", "frozen", "stop_rel"):
+        for name in ("synd_rows", "feasible", "alphas", "prior", "synd",
+                     "v2c", "lane_marg", "lane_hard", "lane_flips",
+                     "lane_row", "lane_iter", "lane_group", "scratch",
+                     "marg", "hard", "conv", "iterations"):
             setattr(self.c, name,
                     _pointer(ffi, self.c, name, getattr(self, name)))
         self.ptr = {
             name: _pointer(ffi, self.c, name, getattr(self, name))
             for name in ("flips", "groups")
         }
-        self.ptr["keep"] = ffi.cast("uint8_t *", self.keep.ctypes.data)
 
 
 class NativeKernel(FusedKernel):
@@ -294,6 +297,7 @@ class NativeKernel(FusedKernel):
         self._graph: _Graph | None = None
         self._state: _State | None = None
         self._prior: np.ndarray | None = None   # prior rows of the chunk
+        self._units = 0                         # stop groups of the chunk
         self._track = False
 
     def __getstate__(self):
@@ -309,11 +313,10 @@ class NativeKernel(FusedKernel):
         """Begin a chunk: syndromes, priors, stop groups and damping.
 
         ``prior`` is ``(1, n)`` or ``(batch, n)``; ``groups`` the
-        chunk's ``stop_groups`` ids or ``None``; ``alphas[i]`` the
-        damping factor of iteration ``i + 1``.  The kernel owns (and
-        compacts) all of them until the next ``fused_start``; the first
-        ``fused_run`` (from iteration 0) lays the syndromes and priors
-        out in lanes and sets the initial messages.
+        chunk's ``stop_groups`` ids (rows of one group contiguous) or
+        ``None``; ``alphas[i]`` the damping factor of iteration
+        ``i + 1``.  The kernel reads all of them during ``fused_run``,
+        as it loads each group into lanes.
         """
         edges = self.edges
         m = syndromes.shape[0]
@@ -322,16 +325,25 @@ class NativeKernel(FusedKernel):
             self._graph = _GRAPHS.get(edges)
             if self._graph is None:
                 self._graph = _GRAPHS[edges] = _Graph(ffi, edges)
+        if groups is None:
+            self._units, largest = m, 1
+        else:
+            bounds = np.flatnonzero(np.diff(groups)) + 1
+            self._units = bounds.size + 1
+            largest = int(np.diff(bounds, prepend=0, append=m).max())
+        pool = -(-largest // _LANES)
+        threads = min(THREAD_BUDGET.get(), self._units)
         st = self._state
-        threads = THREAD_BUDGET.get()
-        if (st is None or m > st.cap or len(alphas) > st.alphas.size
-                or threads > st.threads):
-            cap, n_alphas, n_threads = (
-                (st.cap, st.alphas.size, st.threads) if st else (0, 0, 1)
+        if (st is None or m > st.cap or threads * pool > st.blocks
+                or len(alphas) > st.alphas.size or threads > st.threads):
+            cap, blocks, n_alphas, n_threads = (
+                (st.cap, st.blocks, st.alphas.size, st.threads) if st
+                else (0, 0, 0, 1)
             )
             st = self._state = _State(
-                ffi, edges, max(m, cap), self.dtype,
-                max(len(alphas), n_alphas), max(threads, n_threads),
+                ffi, edges, max(m, cap), max(threads * pool, blocks),
+                self.dtype, max(len(alphas), n_alphas),
+                max(threads, n_threads),
             )
         c = st.c
 
@@ -341,10 +353,10 @@ class NativeKernel(FusedKernel):
         else:
             empty_bits = syndromes[:, edges.empty_check_ids]
             np.logical_not(empty_bits.any(axis=1), out=st.feasible[:m])
-        # Read by the first fused_run, which lays it out in lanes.
         self._prior = np.ascontiguousarray(prior, dtype=self.dtype)
         c.prior_rows = ffi.cast("void *", self._prior.ctypes.data)
         c.prior_stride = 0 if prior.shape[0] == 1 else edges.n_vars
+        c.pool = pool
         st.alphas[: len(alphas)] = alphas
         self._track = bool(track_flips)
         if self._track:
@@ -358,22 +370,24 @@ class NativeKernel(FusedKernel):
             c.groups = st.ptr["groups"]
         self._m = m
 
-    def fused_run(self, it0, n_iter):
-        """Run iterations ``it0 + 1 .. it0 + n_iter`` over the live rows.
+    def fused_run(self, max_iter):
+        """Decode every row of the chunk, at most ``max_iter`` iterations.
 
-        Returns ``(conv, frozen, stop_rel)`` views, valid until the next
-        kernel call: per-row convergence, whether the row's group
-        stopped, and the iterations each row ran in this call.  The
-        call may use up to :data:`THREAD_BUDGET` threads (as many as
-        the workspace has scratch blocks).
+        Returns ``(conv, iterations)`` views, valid until the next
+        kernel call: whether each row's own syndrome was satisfied, and
+        the iterations it ran (a group stopped by another row's success
+        reports that iteration, unconverged).  The call may use up to
+        :data:`THREAD_BUDGET` threads, one lane pool each, and never
+        more than there are stop groups.
         """
         m = self._m
         st = self._state
         _, lib = load_library()
         run = lib.bp_run_f32 if self.dtype == np.float32 else lib.bp_run_f64
-        threads = min(THREAD_BUDGET.get(), st.threads)
-        run(self._graph.c, st.c, m, it0, n_iter, self.clamp, threads)
-        return st.conv[:m], st.frozen[:m], st.stop_rel[:m]
+        threads = min(THREAD_BUDGET.get(), self._units,
+                      st.blocks // st.c.pool, st.threads)
+        run(self._graph.c, st.c, m, max_iter, self.clamp, threads)
+        return st.conv[:m], st.iterations[:m]
 
     @property
     def fused_marg(self):
@@ -386,13 +400,3 @@ class NativeKernel(FusedKernel):
     @property
     def fused_flips(self):
         return self._state.flips[: self._m] if self._track else None
-
-    def fused_compact(self, keep):
-        """Drop retired rows from every fused-path buffer."""
-        m = self._m
-        st = self._state
-        st.keep[:m] = keep
-        load_library()[1].bp_compact(
-            self._graph.c, st.c, m, st.ptr["keep"], self.dtype.itemsize
-        )
-        self._m = int(np.count_nonzero(keep))

@@ -7,30 +7,35 @@
  * (no -ffast-math, no -march=native) and loaded through cffi's ABI mode.
  *
  * Lanes.  Rows are independent BP instances, so the kernel advances
- * LANES = 4 of them at once with GCC vector extensions: row r lives in
- * lane r % 4 of block r / 4, and the message state is laid out
- * (blocks, n_edges, 4).  float lanes fill one 16-byte vector, double
- * lanes two (run one after the other), so every operation is a plain
- * SSE2 instruction at the default -O2 and no -march.  A partly filled
- * block (a one-row batch, a chunk's tail) runs the same code; its
- * padding lanes compute on stale or zero data and are never read.  The
- * block keeps its own marginals, hard decisions and flip counts; each
- * row is copied out to the row-major outputs (``marg``, ``hard``,
- * ``flips``) once per call: at the iteration its stop group froze, or
- * at the end of the call.  A frozen lane goes on computing until its
- * block has no live lane left, but is never copied out again.
+ * LANES = 4 of them at once with GCC vector extensions: a lane block
+ * holds four rows, one per lane, and its message state is laid out
+ * (n_edges, 4).  float lanes fill one 16-byte vector, double lanes two
+ * (run one after the other), so every operation is a plain SSE2
+ * instruction at the default -O2 and no -march.  Lanes are refilled:
+ * each thread owns a pool of lane blocks, and the moment a row's stop
+ * group freezes, the group's rows are copied out to the row-major
+ * outputs (``marg``, ``hard``, ``flips``, ``conv``, ``iterations``) and
+ * their lanes are loaded with the next rows of the chunk.  Each lane
+ * keeps its own iteration count, hence its own damping factor and its
+ * own "count flips from iteration 2" mask.  An idle lane (nothing left
+ * to load, or waiting for a group that does not fit yet) computes on
+ * stale data and is never read; a block with no live lane is skipped.
  *
- * Threads.  One bp_run call may spread its blocks over up to
+ * Stop groups.  A group is loaded whole, in chunk order, and only when
+ * it fits in the thread's free lanes (which need not be contiguous);
+ * its rows run in lockstep from iteration 1 and freeze together at the
+ * first iteration any of them converges, or at max_iter.  A pool is
+ * max(1, ceil(largest group / 4)) blocks, so an empty pool takes any
+ * group.
+ *
+ * Threads.  One bp_run call may spread the chunk's groups over up to
  * ``threads`` POSIX threads, started inside the call and joined before
- * it returns (no pool, no barrier).  A call that runs one iteration
- * hands out single blocks -- rows of one stop group are independent
- * within an iteration, and the group freeze is resolved after the join;
- * a longer call hands out runs of blocks closed over stop groups (a
- * block that straddles two groups joins them into one unit), so a
- * group's freeze stays on one thread.  Units are claimed through an
- * atomic cursor.  Each lane's arithmetic is the same in any lane, block
- * or thread, so results never depend on the thread count, the chunk
- * size or a row's neighbours.
+ * it returns (no pool, no barrier).  Groups are claimed through an
+ * atomic cursor, so a group's freeze stays on one thread.  Each lane's
+ * arithmetic is the same in any lane, block or thread, and a lane load
+ * resets everything the row reads, so results never depend on the
+ * thread count, the chunk size, a row's neighbours or when it entered
+ * its lane.
  *
  * Every float result is bit-identical to the numpy ``fused`` kernel:
  * arithmetic stays in the working dtype, min/max/xor and compare+select
@@ -68,42 +73,44 @@ typedef struct {
     const int64_t *var_edge; /* n_edges: edge of each var-sorted slot   */
 } bp_graph;
 
-/* Per-chunk state, rows [0, m) live in blocks [0, ceil(m / 4)).  Float
- * buffers hold float or double; "mask" buffers int32 or int64 of the
- * same width (0 or -1 per lane).  Lane buffers are 16-byte aligned.
- * The row-major inputs (prior_rows, synd_rows) are read only by a run
- * that starts at iteration 0, which lays them out in lanes. */
+/* Per-chunk state.  Rows [0, m) are read from the row-major inputs when
+ * they are loaded into lanes and written to the row-major outputs when
+ * their group leaves its lanes.  A thread owns lane blocks
+ * [slot * pool, (slot + 1) * pool).  Float buffers hold float or double;
+ * "mask" buffers int32 or int64 of the same width (0 or -1 per lane).
+ * Lane buffers are 16-byte aligned. */
 typedef struct {
-    const void *prior_rows;  /* 1 x n_vars (shared) or cap x n_vars      */
+    const void *prior_rows;  /* 1 x n_vars (shared) or m x n_vars        */
     int64_t prior_stride;    /* 0 (shared) or n_vars                     */
-    const uint8_t *synd_rows;/* cap x n_checks (non-empty checks)        */
+    const uint8_t *synd_rows;/* m x n_checks (non-empty checks)          */
+    const uint8_t *feasible; /* m: no syndrome bit on an empty check     */
+    const int64_t *groups;   /* m stop-group ids, or NULL (singletons)   */
+    const void *alphas;      /* alphas[i]: damping of iteration i + 1    */
+    int64_t pool;            /* lane blocks per thread                   */
     void *prior;             /* blocks x n_vars x 4                      */
     void *synd;              /* blocks x n_checks x 4 syndrome masks     */
     void *v2c;               /* blocks x n_edges x 4, check-sorted       */
     void *lane_marg;         /* blocks x n_vars x 4                      */
     void *lane_hard;         /* blocks x n_vars x 4 masks                */
     void *lane_flips;        /* blocks x n_vars x 4 counts (mask width)  */
+    int64_t *lane_row;       /* blocks x 4: row in the lane, -1 if idle  */
+    int64_t *lane_iter;      /* blocks x 4: iterations the row has run   */
+    int64_t *lane_group;     /* blocks x 4: first row of the row's group */
     void *scratch;           /* threads x n_edges x 4: var-sorted c2v of */
                              /* one block, one slice per thread          */
-    void *alphas;            /* alphas[i]: damping of iteration i + 1    */
-    void *marg;              /* cap x n_vars, published marginals        */
-    uint8_t *hard;           /* cap x n_vars, published hard decisions   */
-    int32_t *flips;          /* cap x n_vars, or NULL when untracked     */
-    uint8_t *feasible;       /* cap: no syndrome bit on an empty check   */
-    int64_t *groups;         /* cap stop-group ids, or NULL (singletons) */
-    uint8_t *conv;           /* cap: converged during the last run       */
-    uint8_t *frozen;         /* cap: group stopped during the last run   */
-    int64_t *stop_rel;       /* cap: iterations run during the last run  */
+    void *marg;              /* m x n_vars, published marginals          */
+    uint8_t *hard;           /* m x n_vars, published hard decisions     */
+    int32_t *flips;          /* m x n_vars, or NULL when untracked       */
+    uint8_t *conv;           /* m: the row's own syndrome was satisfied  */
+    int64_t *iterations;     /* m: iterations the row ran                */
 } bp_state;
 
 const char *bp_compiler(void);
 int64_t bp_lanes(void);
-void bp_compact(const bp_graph *g, const bp_state *s, int64_t m,
-                const uint8_t *keep, int64_t float_bytes);
 void bp_run_f32(const bp_graph *g, const bp_state *s, int64_t m,
-                int64_t it0, int64_t n_iter, double clamp, int64_t threads);
+                int64_t max_iter, double clamp, int64_t threads);
 void bp_run_f64(const bp_graph *g, const bp_state *s, int64_t m,
-                int64_t it0, int64_t n_iter, double clamp, int64_t threads);
+                int64_t max_iter, double clamp, int64_t threads);
 void bp_segment_sums_f32(const float *a, const int64_t *ptr,
                          int64_t n_seg, float *out);
 void bp_segment_sums_f64(const double *a, const int64_t *ptr,
@@ -135,104 +142,41 @@ int64_t bp_lanes(void)
     return LANES;
 }
 
-/* Compact rows: row r moves to the next free slot when keep[r]. */
-static void compact_rows(void *buf, int64_t row_bytes, int64_t m,
-                         const uint8_t *keep)
-{
-    char *base = (char *)buf;
-    int64_t dst = 0;
-    for (int64_t r = 0; r < m; r++) {
-        if (!keep[r])
-            continue;
-        if (dst != r)
-            memcpy(base + dst * row_bytes, base + r * row_bytes, row_bytes);
-        dst++;
-    }
-}
+/* A call with fewer than this many edge updates in one iteration of
+ * every row (rows x n_edges) stays on the calling thread: one thread
+ * already runs four rows per block, and starting and joining another
+ * (~0.1 ms) costs more than it saves.  Calls at a budget of 2 on a
+ * 2-vCPU host broke even at 16-24 rows on coprime-154 (462 edges;
+ * 2-16 rows ran 12-35% slower threaded) and at 12-16 rows on BB-144
+ * (6,156 edges; 2-12 rows ran at most 7% slower).  A constant, not a
+ * tuning knob. */
+#define MIN_THREADED_WORK 10000
 
-/* Compact lanes of a blocks x n x 4 buffer of U: lane r moves to the
- * next free lane when keep[r]. */
-#define DEFINE_COMPACT_LANES(U)                                              \
-static void compact_lanes_##U(U *buf, int64_t n, int64_t m,                 \
-                              const uint8_t *keep)                           \
-{                                                                            \
-    int64_t dst = 0;                                                         \
-    for (int64_t r = 0; r < m; r++) {                                        \
-        if (!keep[r])                                                        \
-            continue;                                                        \
-        if (dst != r) {                                                      \
-            U *to = buf + dst / LANES * n * LANES + dst % LANES;             \
-            const U *from = buf + r / LANES * n * LANES + r % LANES;         \
-            for (int64_t i = 0; i < n * LANES; i += LANES)                   \
-                to[i] = from[i];                                             \
-        }                                                                    \
-        dst++;                                                               \
-    }                                                                        \
-}
-DEFINE_COMPACT_LANES(uint32_t)
-DEFINE_COMPACT_LANES(uint64_t)
-
-static void compact_lanes(void *buf, int64_t n, int64_t m,
-                          const uint8_t *keep, int64_t bytes)
-{
-    if (bytes == 4)
-        compact_lanes_uint32_t(buf, n, m, keep);
-    else
-        compact_lanes_uint64_t(buf, n, m, keep);
-}
-
-void bp_compact(const bp_graph *g, const bp_state *s, int64_t m,
-                const uint8_t *keep, int64_t float_bytes)
-{
-    int64_t fb = float_bytes;
-    compact_lanes(s->v2c, g->n_edges, m, keep, fb);
-    compact_lanes(s->lane_hard, g->n_vars, m, keep, fb);
-    compact_lanes(s->synd, g->n_checks, m, keep, fb);
-    compact_lanes(s->prior, g->n_vars, m, keep, fb);
-    if (s->flips) {
-        compact_lanes(s->lane_flips, g->n_vars, m, keep, fb);
-        compact_rows(s->flips, g->n_vars * 4, m, keep);
-    }
-    compact_rows(s->marg, g->n_vars * fb, m, keep);
-    compact_rows(s->hard, g->n_vars, m, keep);
-    compact_rows(s->feasible, 1, m, keep);
-    if (s->groups)
-        compact_rows(s->groups, 8, m, keep);
-}
-
-/* A call below this many row edge-iterations (rows x n_edges x n_iter)
- * stays on the calling thread: starting and joining a thread (~0.1 ms)
- * costs more than it saves.  On a 2-vCPU host one-iteration calls
- * broke even at 60k-100k (a 256-row coprime-154 call, 118k, ran
- * ~1.15x faster on two threads).  A constant, not a tuning knob. */
-#define MIN_THREADED_WORK 100000
-
-/* One bp_run call: the work queue its threads share. */
+/* One bp_run call: the queue of stop groups its threads share. */
 typedef struct {
     const bp_graph *g;
     const bp_state *s;
-    int64_t m, it0, n_iter;
+    int64_t m, max_iter;
     double clamp;
-    int per_block;           /* units are blocks (else stop-group runs)  */
-    _Atomic int64_t next;    /* first unclaimed block                    */
+    _Atomic int64_t next;    /* first row of the first unclaimed group   */
 } bp_job;
 
-/* Claim the next unit: one block, or the run of blocks starting at the
- * cursor that no stop group crosses.  Returns 0 when the queue is
- * empty. */
-static int claim(bp_job *j, int64_t *lo, int64_t *hi)
+/* Claim the next stop group, rows [*lo, *hi), if it has at most
+ * ``room`` rows.  Returns 1 if claimed, 0 if it does not fit, -1 when
+ * the queue is empty. */
+static int claim(bp_job *j, int64_t room, int64_t *lo, int64_t *hi)
 {
-    const int64_t *groups = j->per_block ? NULL : j->s->groups;
-    int64_t blocks = (j->m + LANES - 1) / LANES;
+    const int64_t *groups = j->s->groups;
     int64_t a = atomic_load(&j->next);
     for (;;) {
-        if (a >= blocks)
-            return 0;
+        if (a >= j->m)
+            return -1;
         int64_t b = a + 1;
         if (groups)
-            while (b < blocks
-                   && groups[b * LANES - 1] == groups[b * LANES])
+            while (b < j->m && groups[b] == groups[a])
                 b++;
+        if (b - a > room)
+            return 0;
         if (atomic_compare_exchange_weak(&j->next, &a, b)) {
             *lo = a;
             *hi = b;
@@ -243,7 +187,7 @@ static int claim(bp_job *j, int64_t *lo, int64_t *hi)
 
 typedef struct {
     bp_job *job;
-    int64_t slot;            /* this thread's scratch slice              */
+    int64_t slot;            /* this thread's lane pool and scratch      */
 } bp_worker;
 
 /* Thread attributes that start a thread on another CPU than the
@@ -270,19 +214,13 @@ static pthread_attr_t *away_from_caller(pthread_attr_t *attr)
     return NULL;
 }
 
-/* Run iterations it0+1 .. it0+n_iter over every live row on up to
- * ``threads`` threads (the caller's included); ``work`` drains the
- * job's queue.  Stop groups freeze at their first success; singleton
- * groups when s->groups is NULL.  If a thread cannot be started, the
- * threads that did start take its share. */
+/* Decode every row of the job on up to ``threads`` threads (the
+ * caller's included), each draining the shared queue into its own lane
+ * pool with ``work``.  If a thread cannot be started, the threads that
+ * did start take its share. */
 static void run_job(bp_job *j, void *(*work)(void *), int64_t threads)
 {
-    const bp_state *s = j->s;
-    int64_t m = j->m;
-    int64_t blocks = (m + LANES - 1) / LANES;
-    if (threads > blocks)
-        threads = blocks;
-    if (m * j->g->n_edges * j->n_iter < MIN_THREADED_WORK || threads < 1)
+    if (j->m * j->g->n_edges < MIN_THREADED_WORK || threads < 1)
         threads = 1;
     bp_worker workers[threads];
     pthread_t tids[threads];
@@ -302,20 +240,6 @@ static void run_job(bp_job *j, void *(*work)(void *), int64_t threads)
     work(&workers[0]);
     for (int64_t t = 0; t < started; t++)
         pthread_join(tids[t], NULL);
-    if (j->per_block && s->groups) {
-        /* One iteration ran on every row: a group stops when any of its
-         * rows converged. */
-        int64_t lo = 0;
-        while (lo < m) {
-            int64_t hi = lo + 1;
-            uint8_t stopped = s->conv[lo];
-            while (hi < m && s->groups[hi] == s->groups[lo])
-                stopped |= s->conv[hi++];
-            for (int64_t r = lo; r < hi; r++)
-                s->frozen[r] = stopped;
-            lo = hi;
-        }
-    }
 }
 
 /* Where mask: a, else b (exact: a bitwise select of vectors of type VT
@@ -409,12 +333,13 @@ void bp_segment_sums_##SUFFIX(const T *a, const int64_t *ptr,               \
                                                                              \
 /* One BP iteration of half h of block b.  Check update (paper Eq. 6)   */  \
 /* with a branch-free two-smallest recurrence that counts a repeated    */  \
-/* minimum twice, written straight into var-sorted order; then          */  \
-/* marginals (Eq. 7), next v2c (Eq. 5), hard decisions and, when        */  \
-/* count_flips, flip counts.                                            */  \
+/* minimum twice and each lane's own damping factor, written straight   */  \
+/* into var-sorted order; then marginals (Eq. 7), next v2c (Eq. 5),     */  \
+/* hard decisions and, when flips are tracked, flip counts in the lanes */  \
+/* where ``count`` is 1 (it is 0 on a lane's first iteration).          */  \
 static void iterate_half_##SUFFIX(const bp_graph *g, const bp_state *s,     \
-                                  int64_t b, int h, VT *cv, T alpha,         \
-                                  T clamp, int count_flips)                  \
+                                  int64_t b, int h, VT *cv, VT alpha,        \
+                                  IT count, T clamp)                         \
 {                                                                            \
     VT *v2c = (VT *)s->v2c + b * g->n_edges * NV + h;                        \
     VT *marg = (VT *)s->lane_marg + b * g->n_vars * NV + h;                  \
@@ -465,8 +390,8 @@ static void iterate_half_##SUFFIX(const bp_graph *g, const bp_state *s,     \
     }                                                                        \
     for (int64_t v = 0; v < g->n_vars; v++) {                                \
         IT hv = marg[v * NV] <= 0;                                           \
-        if (count_flips)                                                     \
-            flips[v * NV] += (hv ^ hard[v * NV]) & 1;                        \
+        if (s->flips)                                                        \
+            flips[v * NV] += (hv ^ hard[v * NV]) & count;                    \
         hard[v * NV] = hv;                                                   \
     }                                                                        \
 }                                                                            \
@@ -494,51 +419,46 @@ static void converged_half_##SUFFIX(const bp_graph *g, const bp_state *s,   \
     *open = ok;                                                              \
 }                                                                            \
                                                                              \
-/* Lay out the inputs of block b for a run from iteration 0: its rows' */   \
-/* priors and syndrome masks in lanes (zero in padding lanes), zero flip */ \
-/* counts, and the initial messages v2c = prior.                         */ \
-static void start_block_##SUFFIX(const bp_graph *g, const bp_state *s,      \
-                                 int64_t b, int64_t m)                       \
+/* Load row r into lane l (a lane of the whole workspace): its prior   */ \
+/* and syndrome mask, zero flip counts and the initial messages          */ \
+/* v2c = prior.  Nothing else of the lane is read before it is written.  */ \
+static void load_lane_##SUFFIX(const bp_graph *g, const bp_state *s,        \
+                               int64_t l, int64_t r)                         \
 {                                                                            \
-    int64_t n = g->n_vars, nc = g->n_checks;                                 \
-    T *prior = (T *)s->prior + b * n * LANES;                                \
-    IS *synd = (IS *)s->synd + b * nc * LANES;                               \
-    for (int l = 0; l < LANES; l++) {                                        \
-        int64_t r = b * LANES + l;                                           \
-        if (r < m) {                                                         \
-            const T *row = (const T *)s->prior_rows + r * s->prior_stride;   \
-            const uint8_t *bits = s->synd_rows + r * nc;                     \
-            for (int64_t v = 0; v < n; v++)                                  \
-                prior[v * LANES + l] = row[v];                               \
-            for (int64_t c = 0; c < nc; c++)                                 \
-                synd[c * LANES + l] = -(IS)bits[c];                          \
-        } else {                                                             \
-            for (int64_t v = 0; v < n; v++)                                  \
-                prior[v * LANES + l] = 0;                                    \
-            for (int64_t c = 0; c < nc; c++)                                 \
-                synd[c * LANES + l] = 0;                                     \
-        }                                                                    \
+    int64_t n = g->n_vars, nc = g->n_checks, b = l / LANES, k = l % LANES;   \
+    const T *row = (const T *)s->prior_rows + r * s->prior_stride;           \
+    const uint8_t *bits = s->synd_rows + r * nc;                             \
+    T *prior = (T *)s->prior + b * n * LANES + k;                            \
+    IS *synd = (IS *)s->synd + b * nc * LANES + k;                           \
+    T *v2c = (T *)s->v2c + b * g->n_edges * LANES + k;                       \
+    for (int64_t v = 0; v < n; v++)                                          \
+        prior[v * LANES] = row[v];                                           \
+    for (int64_t c = 0; c < nc; c++)                                         \
+        synd[c * LANES] = -(IS)bits[c];                                      \
+    if (s->flips) {                                                          \
+        IS *flips = (IS *)s->lane_flips + b * n * LANES + k;                 \
+        for (int64_t v = 0; v < n; v++)                                      \
+            flips[v * LANES] = 0;                                            \
     }                                                                        \
-    if (s->flips)                                                            \
-        memset((IS *)s->lane_flips + b * n * LANES, 0,                       \
-               n * LANES * sizeof(IS));                                      \
-    VT *v2c = (VT *)s->v2c + b * g->n_edges * NV;                            \
-    const VT *lanes = (const VT *)prior;                                     \
     for (int64_t e = 0; e < g->n_edges; e++)                                 \
-        for (int h = 0; h < NV; h++)                                         \
-            v2c[e * NV + h] = lanes[g->edge_var[e] * NV + h];                \
+        v2c[e * LANES] = row[g->edge_var[e]];                                \
 }                                                                            \
                                                                              \
-/* Run one iteration on block b; return the lanes (bit l for lane l)    */  \
-/* among ``need`` whose syndrome is satisfied afterwards.               */  \
+/* Run one iteration on block b, lane k damped by alpha[k] and counting */  \
+/* flips where count[k] is 1; return the lanes (bit k for lane k) among */  \
+/* ``need`` whose syndrome is satisfied afterwards.                     */  \
 static int iterate_block_##SUFFIX(const bp_graph *g, const bp_state *s,     \
-                                  int64_t b, VT *cv, T alpha, T clamp,       \
-                                  int count_flips, int need)                 \
+                                  int64_t b, VT *cv, const T *alpha,         \
+                                  const IS *count, T clamp, int need)        \
 {                                                                            \
     int ok = 0;                                                              \
     for (int h = 0; h < NV; h++) {                                           \
-        iterate_half_##SUFFIX(g, s, b, h, cv, alpha, clamp, count_flips);   \
-        IT open;                                                             \
+        VT half_alpha;                                                       \
+        IT half_count, open;                                                 \
+        memcpy(&half_alpha, alpha + h * LANES / NV, sizeof half_alpha);      \
+        memcpy(&half_count, count + h * LANES / NV, sizeof half_count);      \
+        iterate_half_##SUFFIX(g, s, b, h, cv, half_alpha, half_count,        \
+                              clamp);                                        \
         int half_need = 0;                                                   \
         for (int l = 0; l < LANES / NV; l++) {                               \
             int bit = (need >> (h * LANES / NV + l)) & 1;                    \
@@ -554,11 +474,11 @@ static int iterate_block_##SUFFIX(const bp_graph *g, const bp_state *s,     \
     return ok;                                                               \
 }                                                                            \
                                                                              \
-/* Copy row r (lane r % 4 of its block) to the row-major outputs. */        \
+/* Copy lane l out to row r of the row-major outputs. */                    \
 static void publish_##SUFFIX(const bp_graph *g, const bp_state *s,          \
-                             int64_t r)                                      \
+                             int64_t l, int64_t r)                           \
 {                                                                            \
-    int64_t n = g->n_vars, at = r / LANES * n * LANES + r % LANES;           \
+    int64_t n = g->n_vars, at = l / LANES * n * LANES + l % LANES;           \
     const T *marg = (const T *)s->lane_marg + at;                            \
     const IS *hard = (const IS *)s->lane_hard + at;                          \
     T *out_marg = (T *)s->marg + r * n;                                      \
@@ -575,92 +495,88 @@ static void publish_##SUFFIX(const bp_graph *g, const bp_state *s,          \
     }                                                                        \
 }                                                                            \
                                                                              \
-/* Run iterations it0+1 .. it0+n_iter over blocks [b0, b1) of one unit. */  \
-/* A stop group freezes at the first iteration any of its rows          */  \
-/* converges (first success wins) and is published then; rows still     */  \
-/* live at the end are published then.  In a one-block-per-unit job    */  \
-/* each row is its own group here and run_job joins the groups.         */  \
-static void run_unit_##SUFFIX(const bp_job *j, int64_t b0, int64_t b1,      \
-                              VT *scratch)                                   \
-{                                                                            \
-    const bp_graph *g = j->g;                                                \
-    const bp_state *s = j->s;                                                \
-    const T clamp = (T)j->clamp;                                             \
-    const T *alphas = (const T *)s->alphas;                                  \
-    const int64_t *groups = j->per_block ? NULL : s->groups;                 \
-    int64_t lo = b0 * LANES, hi = b1 * LANES < j->m ? b1 * LANES : j->m;     \
-    int64_t live = hi - lo, ran = 0;                                         \
-    for (int64_t r = lo; r < hi; r++)                                        \
-        s->conv[r] = s->frozen[r] = 0;                                       \
-    if (j->it0 == 0)                                                         \
-        for (int64_t b = b0; b < b1; b++)                                    \
-            start_block_##SUFFIX(g, s, b, j->m);                             \
-    for (int64_t k = 0; k < j->n_iter && live; k++) {                        \
-        int64_t it = j->it0 + k;  /* 0-based iteration index */              \
-        int found = 0;                                                       \
-        for (int64_t b = b0; b < b1; b++) {                                  \
-            int busy = 0, need = 0;                                          \
-            for (int l = 0; l < LANES; l++) {                                \
-                int64_t r = b * LANES + l;                                   \
-                if (r < hi && !s->frozen[r]) {                               \
-                    busy = 1;                                                \
-                    need |= (s->feasible[r] != 0) << l;                      \
-                }                                                            \
-            }                                                                \
-            if (!busy)                                                       \
-                continue;                                                    \
-            int ok = iterate_block_##SUFFIX(g, s, b, scratch, alphas[it],    \
-                                            clamp, s->flips && it > 0,       \
-                                            need);                           \
-            for (int l = 0; l < LANES; l++)                                  \
-                if ((ok >> l) & 1) {                                         \
-                    s->conv[b * LANES + l] = 1;                              \
-                    found = 1;                                               \
-                }                                                            \
-        }                                                                    \
-        ran = k + 1;                                                         \
-        if (!found)                                                          \
-            continue;                                                        \
-        for (int64_t a = lo; a < hi;) {                                      \
-            int64_t z = a + 1;                                               \
-            uint8_t stopped = s->conv[a];                                    \
-            if (groups)                                                      \
-                while (z < hi && groups[z] == groups[a])                     \
-                    stopped |= s->conv[z++];                                 \
-            if (stopped && !s->frozen[a])                                    \
-                for (int64_t r = a; r < z; r++) {                            \
-                    s->frozen[r] = 1;                                        \
-                    s->stop_rel[r] = ran;                                    \
-                    publish_##SUFFIX(g, s, r);                               \
-                    live--;                                                  \
-                }                                                            \
-            a = z;                                                           \
-        }                                                                    \
-    }                                                                        \
-    for (int64_t r = lo; r < hi; r++)                                        \
-        if (!s->frozen[r]) {                                                 \
-            s->stop_rel[r] = ran;                                            \
-            publish_##SUFFIX(g, s, r);                                       \
-        }                                                                    \
-}                                                                            \
-                                                                             \
-/* Thread body: run units until the job's queue is empty.              */  \
+/* Thread body: decode stop groups from the job's queue in this         */  \
+/* thread's pool of lane blocks until the queue is empty and every lane */  \
+/* is idle.  Each step refills free lanes with whole groups, runs one   */  \
+/* iteration on every block with a live lane, then publishes and frees  */  \
+/* each group that converged (first success wins) or ran max_iter.      */  \
 static void *work_##SUFFIX(void *arg)                                        \
 {                                                                            \
     bp_worker *w = (bp_worker *)arg;                                         \
     bp_job *j = w->job;                                                      \
-    VT *scratch = (VT *)j->s->scratch + w->slot * j->g->n_edges * NV;        \
-    int64_t lo, hi;                                                          \
-    while (claim(j, &lo, &hi))                                               \
-        run_unit_##SUFFIX(j, lo, hi, scratch);                               \
-    return NULL;                                                             \
+    const bp_graph *g = j->g;                                                \
+    const bp_state *s = j->s;                                                \
+    const T *alphas = (const T *)s->alphas;                                  \
+    const T clamp = (T)j->clamp;                                             \
+    int64_t b0 = w->slot * s->pool, lanes = s->pool * LANES, l0 = b0 * LANES;\
+    int64_t *row = s->lane_row + l0, *iters = s->lane_iter + l0;             \
+    int64_t *group = s->lane_group + l0;                                     \
+    VT *scratch = (VT *)s->scratch + w->slot * g->n_edges * NV;              \
+    int64_t live = 0, lo, hi;                                                \
+    int queued = 1;                                                          \
+    for (int64_t l = 0; l < lanes; l++)                                      \
+        row[l] = -1;                                                         \
+    for (;;) {                                                               \
+        while (queued) {                                                     \
+            int got = claim(j, lanes - live, &lo, &hi);                      \
+            queued = got >= 0;                                               \
+            if (got <= 0)                                                    \
+                break;                                                       \
+            for (int64_t r = lo, l = 0; r < hi; r++, l++) {                  \
+                while (row[l] >= 0)                                          \
+                    l++;                                                     \
+                load_lane_##SUFFIX(g, s, l0 + l, r);                         \
+                row[l] = r;                                                  \
+                iters[l] = 0;                                                \
+                group[l] = lo;                                               \
+                s->conv[r] = 0;                                              \
+            }                                                                \
+            live += hi - lo;                                                 \
+        }                                                                    \
+        if (!live)                                                           \
+            return NULL;                                                     \
+        for (int64_t b = 0; b < s->pool; b++) {                              \
+            T alpha[LANES];                                                  \
+            IS count[LANES];                                                 \
+            int busy = 0, need = 0;                                          \
+            for (int k = 0; k < LANES; k++) {                                \
+                int64_t l = b * LANES + k, r = row[l];                       \
+                alpha[k] = r < 0 ? 0 : alphas[iters[l]];                     \
+                count[k] = r >= 0 && iters[l] > 0;                           \
+                busy |= r >= 0;                                              \
+                need |= (r >= 0 && s->feasible[r]) << k;                     \
+            }                                                                \
+            if (!busy)                                                       \
+                continue;                                                    \
+            int ok = iterate_block_##SUFFIX(g, s, b0 + b, scratch, alpha,    \
+                                            count, clamp, need);             \
+            for (int k = 0; k < LANES; k++)                                  \
+                if ((ok >> k) & 1)                                           \
+                    s->conv[row[b * LANES + k]] = 1;                         \
+        }                                                                    \
+        for (int64_t l = 0; l < lanes; l++)                                  \
+            iters[l] += row[l] >= 0;                                         \
+        for (int64_t l = 0; l < lanes; l++) {                                \
+            if (row[l] < 0                                                   \
+                || !(s->conv[row[l]] || iters[l] == j->max_iter))            \
+                continue;                                                    \
+            int64_t first = group[l];                                        \
+            for (int64_t k = 0; k < lanes; k++)                              \
+                if (row[k] >= 0 && group[k] == first) {                      \
+                    publish_##SUFFIX(g, s, l0 + k, row[k]);                  \
+                    s->iterations[row[k]] = iters[k];                        \
+                    row[k] = -1;                                             \
+                    live--;                                                  \
+                }                                                            \
+        }                                                                    \
+    }                                                                        \
 }                                                                            \
                                                                              \
+/* Decode rows [0, m) with at most max_iter iterations each. */             \
 void bp_run_##SUFFIX(const bp_graph *g, const bp_state *s, int64_t m,       \
-                     int64_t it0, int64_t n_iter, double clamp,              \
-                     int64_t threads)                                        \
+                     int64_t max_iter, double clamp, int64_t threads)        \
 {                                                                            \
-    bp_job j = {g, s, m, it0, n_iter, clamp, n_iter == 1, 0};                \
+    bp_job j = {g, s, m, max_iter, clamp, 0};                                \
     run_job(&j, work_##SUFFIX, threads);                                     \
 }
 

@@ -59,7 +59,7 @@ KERNEL_PROTOCOL = (
 )
 
 #: Extra surface required when ``supports_iteration_fusion`` is True.
-KERNEL_FUSION_API = ("fused_start", "fused_run", "fused_compact")
+KERNEL_FUSION_API = ("fused_start", "fused_run")
 
 #: Tiny registry code every contract check builds against — smallest
 #: code in the registry, so ``--contracts`` stays sub-second.

@@ -6,16 +6,18 @@ the C kernel builds).  This module pins what that suite cannot see:
 
 * the C segment sum reproduces ``np.add.reduceat``'s exact order, so a
   numpy change to that order fails here by name, not as a parity diff;
-* the fused multi-iteration driver (routing, mid-chunk compaction,
-  span independence, pickling, worker processes);
+* the fused driver, one C call per chunk (routing, workspace reuse,
+  pickling, worker processes);
 * threads inside one C call: results equal ``fused`` at any thread
   budget on both benchmark graphs, no thread outlives a call, only the
   offline engine grants a budget above 1, and a forked worker decodes
   correctly after its parent ran threaded calls;
-* four rows per lane block: partly filled blocks, rows retiring from
-  the middle of a block, stop groups straddling blocks, signed zeros
-  and tied minima, and a row's result independent of its lane and its
-  neighbours;
+* four rows per lane block: partly filled blocks, stop groups
+  straddling blocks, signed zeros and tied minima, and a row's result
+  independent of its lane and its neighbours;
+* lane refill: rows and whole stop groups streaming into the lanes that
+  frozen groups free, each lane on its own iteration count (damping,
+  flip counting), groups larger than a pool of one block;
 * a missing compiler degrades to ``fused``, and a cold build cache
   survives two processes racing on it.
 """
@@ -32,7 +34,6 @@ import threading
 import numpy as np
 import pytest
 
-import repro.decoders.bp as bp_mod
 from repro.circuits import circuit_level_problem
 from repro.codes import get_code
 from repro.decoders import BPSFDecoder, MinSumBP
@@ -90,7 +91,7 @@ def _pair(problem, **kwargs):
 @needs_native
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_segment_sums_match_reduceat_order(dtype):
-    from repro.decoders.kernels.native import _aligned_empty, load_library
+    from repro.decoders.kernels.native import _aligned_zeros, load_library
 
     ffi, lib = load_library()
     rng = np.random.default_rng(3)
@@ -104,9 +105,9 @@ def test_segment_sums_match_reduceat_order(dtype):
     )
     values = values.astype(dtype)
     expected = np.add.reduceat(values, ptr[:-1], axis=1)
-    lanes = _aligned_empty((ptr[-1], 4), dtype)
+    lanes = _aligned_zeros((ptr[-1], 4), dtype)
     lanes[...] = values.T
-    got = _aligned_empty((lengths.size, 4), dtype)
+    got = _aligned_zeros((lengths.size, 4), dtype)
     ctype = "float" if dtype == np.float32 else "double"
     run = lib.bp_segment_sums_f32 if dtype == np.float32 \
         else lib.bp_segment_sums_f64
@@ -140,40 +141,6 @@ class TestFusedDriver:
             assert_identical(
                 fused.decode_many(synd), native.decode_many(synd)
             )
-
-    def test_compact_mid_decode(self, small_problem, monkeypatch):
-        from repro.decoders.kernels.native import NativeKernel
-
-        synd = syndromes_for(small_problem, 16, 7)
-        fused, native = _pair(
-            small_problem, max_iter=40, batch_size=4,
-            track_oscillations=True,
-        )
-        calls = []
-        original = NativeKernel.fused_compact
-        monkeypatch.setattr(
-            NativeKernel, "fused_compact",
-            lambda self, keep: calls.append(int(keep.sum()))
-            or original(self, keep),
-        )
-        assert_identical(fused.decode_many(synd), native.decode_many(synd))
-        assert calls, "decode never exercised mid-decode compaction"
-
-    def test_span_size_never_changes_results(
-        self, small_problem, monkeypatch
-    ):
-        synd = syndromes_for(small_problem, 12, 19)
-        groups = np.repeat(np.arange(4), 3)
-
-        def decode():
-            return MinSumBP(
-                small_problem, backend="native", max_iter=30,
-                track_oscillations=True,
-            ).decode_many(synd, stop_groups=groups)
-
-        wide = decode()
-        monkeypatch.setattr(bp_mod, "_FUSION_MAX_SPAN", 1)
-        assert_identical(wide, decode())
 
     def test_workspace_reuse_and_pickling(self, small_problem):
         fused, native = _pair(small_problem, max_iter=15)
@@ -235,7 +202,10 @@ def _with_budget(threads, fn, *args, **kwargs):
 
 def _native_matches_fused(problem, synd, dtype, decode_kwargs=None,
                           **kwargs):
-    """Native equals fused in every column at thread budgets 1-3."""
+    """Native equals fused in every column at thread budgets 1-3.
+
+    Returns the fused result, so a caller can check what it exercised.
+    """
     def decode(backend):
         return MinSumBP(
             problem, backend=backend, dtype=dtype,
@@ -252,6 +222,7 @@ def _native_matches_fused(problem, synd, dtype, decode_kwargs=None,
             got.marginals.view(bits), want.marginals.view(bits)
         )
         assert got.flip_counts is not None
+    return want
 
 
 @pytest.fixture(scope="module")
@@ -273,9 +244,9 @@ def budgets_seen(monkeypatch):
     seen = []
     original = NativeKernel.fused_run
 
-    def spy(self, it0, n_iter):
+    def spy(self, max_iter):
         seen.append(THREAD_BUDGET.get())
-        return original(self, it0, n_iter)
+        return original(self, max_iter)
 
     monkeypatch.setattr(NativeKernel, "fused_run", spy)
     return seen
@@ -476,7 +447,7 @@ def straddling_groups(sizes):
 
 @needs_native
 class TestLanes:
-    """Four rows per lane block: partial blocks, compaction, groups."""
+    """Four rows per lane block: partial blocks, groups, neighbours."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 63, 257])
@@ -485,30 +456,6 @@ class TestLanes:
         synd = syndromes_for(problem, rows, 40 + rows)
         _native_matches_fused(
             problem, synd, dtype, max_iter=30, batch_size=rows
-        )
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_rows_retire_from_the_middle_of_a_block(
-        self, bench_problems, dtype, monkeypatch
-    ):
-        from repro.decoders.kernels.native import NativeKernel
-
-        problem = bench_problems["coprime154"]
-        keeps = []
-        original = NativeKernel.fused_compact
-        monkeypatch.setattr(
-            NativeKernel, "fused_compact",
-            lambda self, keep: keeps.append(keep.copy())
-            or original(self, keep),
-        )
-        _native_matches_fused(
-            problem, syndromes_for(problem, 64, 9), dtype, max_iter=40
-        )
-        # Some compaction dropped a row that was not last in its block
-        # and kept a later one, so live rows changed lanes.
-        assert any(
-            np.any((~keep[:-1] & keep[1:])[np.arange(keep.size - 1) % 4 < 3])
-            for keep in keeps
         )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -565,6 +512,77 @@ class TestLanes:
                 alone.flip_counts[0], whole.flip_counts[row]
             )
             assert alone.iterations[0] == whole.iterations[row]
+
+
+@needs_native
+class TestRefill:
+    """Frozen groups free their lanes, and the next groups load at once.
+
+    A lane loaded mid-call is on its own iteration count, so these cases
+    fail if a lane takes another lane's damping factor, counts flips on
+    its first iteration, or if a group is admitted in parts.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("graph", ["bb144", "coprime154"])
+    def test_rows_converging_at_mixed_iterations(
+        self, bench_problems, graph, dtype
+    ):
+        problem = bench_problems[graph]
+        synd = syndromes_for(problem, 96, 51)
+        want = _native_matches_fused(problem, synd, dtype, max_iter=40)
+        # Many more rows than lanes, freed at many different iterations.
+        assert np.unique(want.iterations[want.converged]).size >= 3
+        assert np.any(want.flip_counts)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("graph", ["bb144", "coprime154"])
+    def test_mixed_stop_groups(self, bench_problems, graph, dtype):
+        problem = bench_problems[graph]
+        # A 30-row group sizes the pool at 8 blocks (32 lanes); groups
+        # of 3 and 5 rows then often wait for room behind it.
+        sizes = [1, 3, 5, 30, 1, 5, 3, 30, 1, 1, 30, 5, 3, 1, 30, 3, 5]
+        groups = straddling_groups(sizes)
+        synd = syndromes_for(problem, groups.size, 52)
+        want = _native_matches_fused(
+            problem, synd, dtype, max_iter=30,
+            decode_kwargs={"stop_groups": groups},
+        )
+        stopped = ~want.converged & (want.iterations < 30)
+        assert stopped.any(), "no group was stopped by a sibling's success"
+        _native_matches_fused(
+            problem, synd, dtype, max_iter=30, damping=0.75,
+            decode_kwargs={
+                "stop_groups": groups,
+                "prior_llr": tied_priors(problem, groups.size, dtype, 6),
+            },
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_group_larger_than_a_default_pool(self, bench_problems, dtype):
+        problem = bench_problems["coprime154"]
+        sizes = [3, 1, 260, 1, 5, 1]
+        groups = straddling_groups(sizes)
+        synd = syndromes_for(problem, groups.size, 53)
+        _native_matches_fused(
+            problem, synd, dtype, max_iter=25,
+            decode_kwargs={"stop_groups": groups},
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("graph", ["bb144", "coprime154"])
+    def test_per_shot_priors(self, bench_problems, graph, dtype):
+        problem = bench_problems[graph]
+        rows = 72
+        synd = syndromes_for(problem, rows, 54)
+        prior = np.abs(np.random.default_rng(55).normal(
+            3.0, 1.5, size=(rows, problem.n_mechanisms)
+        )).astype(dtype)
+        want = _native_matches_fused(
+            problem, synd, dtype, max_iter=40,
+            decode_kwargs={"prior_llr": prior},
+        )
+        assert np.unique(want.iterations).size >= 3
 
 
 def test_missing_compiler_falls_back_to_fused(tmp_path):
